@@ -2,8 +2,8 @@
 
 Benchmarks the tensor-product viscous apply (the paper's fastest kernel,
 hence the hardest to speed up further) through the
-:mod:`repro.parallel.executor` engine, serial against thread- and
-process-backend dispatch, and attaches a ``parallel_speedup`` monitor so
+:mod:`repro.parallel.executor` engine, serial against worker-thread
+dispatch, and attaches a ``parallel_speedup`` monitor so
 the exported ``BENCH_parallel.json`` (schema ``repro.obs/1``) carries the
 serial-vs-parallel GF/s comparison alongside the engine's own
 ``ParExec*`` events.
@@ -27,7 +27,6 @@ from conftest import print_table, fmt, once
 
 SHAPE = (12, 12, 12)
 WORKERS = max(2, min(4, os.cpu_count() or 1))
-BACKENDS = ["thread", "process"]
 
 
 def _flops_per_apply(mesh) -> float:
@@ -42,20 +41,13 @@ def setting():
     eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
     u = rng.standard_normal(3 * mesh.nnodes)
     serial_op = make_operator("tensor", mesh, eta, quad=quad)
-    par_ops = {
-        backend: make_operator(
-            "tensor", mesh, eta, quad=quad,
-            workers=WORKERS, parallel_backend=backend,
-        )
-        for backend in BACKENDS
-    }
-    yield mesh, u, serial_op, par_ops
-    for op in par_ops.values():
-        op.executor.shutdown()
+    par_op = make_operator("tensor", mesh, eta, quad=quad, workers=WORKERS)
+    yield mesh, u, serial_op, par_op
+    par_op.executor.shutdown()
 
 
 def _time_apply(op, u, rounds=3) -> float:
-    op.apply(u)  # warm caches / spawn pools outside the timed region
+    op.apply(u)  # warm caches / start threads outside the timed region
     best = np.inf
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -71,23 +63,21 @@ def test_serial_apply(benchmark, setting):
     benchmark.extra_info.update(workers=1, backend="serial", nel=mesh.nel)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallel_apply(benchmark, setting, backend):
-    mesh, u, serial_op, par_ops = setting
-    op = par_ops[backend]
-    op.apply(u)  # spawn the pool before timing
+def test_parallel_apply(benchmark, setting):
+    mesh, u, serial_op, op = setting
+    op.apply(u)  # start the threads before timing
     y = benchmark(op.apply, u)
     # the dispatch path must stay bit-identical to the serial reference
     assert np.array_equal(y, op.apply_serial(u))
     benchmark.extra_info.update(
-        workers=WORKERS, backend=backend, nel=mesh.nel,
+        workers=WORKERS, backend="thread", nel=mesh.nel,
         **op.executor.stats.as_dict(),
     )
 
 
 def test_summary_table(benchmark, setting):
     """Serial-vs-parallel GF/s table, attached to the exported JSON."""
-    mesh, u, serial_op, par_ops = setting
+    mesh, u, serial_op, par_op = setting
     once(benchmark, lambda: None)
     flops = _flops_per_apply(mesh)
     t_serial = _time_apply(serial_op, u)
@@ -99,15 +89,12 @@ def test_summary_table(benchmark, setting):
         "serial_seconds": t_serial,
         "serial_gflops": flops / t_serial / 1e9,
     }
-    rows = [["serial", 1, fmt(t_serial), fmt(flops / t_serial / 1e9)]]
-    for backend, op in par_ops.items():
-        t_par = _time_apply(op, u)
-        summary[f"{backend}_seconds"] = t_par
-        summary[f"{backend}_gflops"] = flops / t_par / 1e9
-        summary[f"{backend}_speedup"] = t_serial / t_par
-        rows.append(
-            [backend, WORKERS, fmt(t_par), fmt(flops / t_par / 1e9)]
-        )
+    t_par = _time_apply(par_op, u)
+    summary["thread_seconds"] = t_par
+    summary["thread_gflops"] = flops / t_par / 1e9
+    summary["thread_speedup"] = t_serial / t_par
+    rows = [["serial", 1, fmt(t_serial), fmt(flops / t_serial / 1e9)],
+            ["thread", WORKERS, fmt(t_par), fmt(flops / t_par / 1e9)]]
     obs.attach_monitor("parallel_speedup", summary)
     print_table(
         f"tensor apply, {mesh.nel} elements",

@@ -29,17 +29,14 @@ from repro.matfree import make_operator
 from repro.perf import OPERATOR_COUNTS
 
 
-def build(size: int, workers: int, backend: str):
+def build(size: int, workers: int):
     rng = np.random.default_rng(0)
     mesh = StructuredMesh((size, size, size), order=2)
     quad = GaussQuadrature.hex(3)
     eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
     u = rng.standard_normal(3 * mesh.nnodes)
     serial_op = make_operator("tensor", mesh, eta, quad=quad)
-    par_op = make_operator(
-        "tensor", mesh, eta, quad=quad, workers=workers,
-        parallel_backend=backend,
-    )
+    par_op = make_operator("tensor", mesh, eta, quad=quad, workers=workers)
     return mesh, u, serial_op, par_op
 
 
@@ -48,8 +45,6 @@ def main(argv=None) -> int:
     ap.add_argument("--size", type=int, default=16,
                     help="elements per dimension (default 16)")
     ap.add_argument("--workers", type=int, default=2)
-    ap.add_argument("--backend", default="thread",
-                    choices=["thread", "process"])
     ap.add_argument("--rounds", type=int, default=5,
                     help="interleaved serial/parallel timing rounds")
     ap.add_argument("--min-speedup", type=float, default=None,
@@ -62,9 +57,9 @@ def main(argv=None) -> int:
     if args.min_speedup is None:
         args.min_speedup = 1.5 if cores >= args.workers else 0.95
 
-    mesh, u, serial_op, par_op = build(args.size, args.workers, args.backend)
+    mesh, u, serial_op, par_op = build(args.size, args.workers)
     print(f"tensor apply, {mesh.nel} elements, {args.workers} "
-          f"{args.backend} workers on {cores} core(s)")
+          f"worker threads on {cores} core(s)")
 
     # correctness first: the engine must match the serial reference exactly
     if not np.array_equal(par_op.apply(u), par_op.apply_serial(u)):

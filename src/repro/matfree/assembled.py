@@ -29,7 +29,7 @@ class AssembledOperator(ViscousOperatorBase):
             # row-partitioned SpMV: each output row is one dot product
             # computed by exactly one task, so concatenating the blocks is
             # bit-identical to the full matvec.  Blocks are sliced eagerly
-            # so forked workers inherit them.
+            # so forked ranks inherit them.
             self._row_spans = partition_range(self.ndof, self._executor.workers)
             self._row_sizes = [e - s for s, e in self._row_spans]
             self._row_blocks = {(s, e): self.matrix[s:e] for s, e in self._row_spans}

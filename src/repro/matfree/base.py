@@ -32,16 +32,16 @@ class ViscousOperatorBase:
 
     State-version contract
     ----------------------
-    Derived state (cached coefficient tensors, the process-pool fork
-    snapshots) depends on exactly two inputs: the mesh geometry and the
-    viscosity field.  Each carries its own monotonically increasing
+    Derived state (cached coefficient tensors, the fork snapshots of
+    :mod:`repro.parallel.procomm` ranks) depends on exactly two inputs:
+    the mesh geometry and the viscosity field.  Each carries its own monotonically increasing
     version -- ``mesh.coords_version`` (bumped by ``mesh.deform``) and
     :attr:`eta_version` (bumped by :meth:`set_viscosity`,
     :meth:`invalidate_coefficients`, or automatically when
     :meth:`_before_apply` detects that ``eta_q`` was mutated in place via
     a CRC fingerprint).  The pair is published to the executor as
-    ``_parallel_state_version``; a change forces process workers to
-    re-snapshot (see the executor's state-transport notes) and tells
+    ``_parallel_state_version``; a change forces rank processes to
+    re-snapshot (see :mod:`repro.parallel.procomm`) and tells
     coefficient-caching subclasses to rebuild.  Keying off
     ``coords_version`` alone -- the pre-fix behavior -- silently applied
     stale operators after a viscosity re-linearization.
@@ -52,7 +52,6 @@ class ViscousOperatorBase:
 
     def __init__(self, mesh, eta_q: np.ndarray, quad: GaussQuadrature | None = None,
                  chunk: int = 2048, workers: int | None = None,
-                 parallel_backend: str | None = None,
                  executor: ParallelExecutor | None = None):
         self.mesh = mesh
         self.quad = quad or GaussQuadrature.hex(3)
@@ -70,11 +69,11 @@ class ViscousOperatorBase:
         self._edofs = (
             3 * conn[:, :, None] + np.arange(3)[None, None, :]
         )  # (nel, nb, 3)
-        self._executor = make_executor(workers, parallel_backend, executor)
+        self._executor = make_executor(workers, executor)
         nparts = self._executor.workers if self._executor is not None else 1
         #: contiguous element slabs, one per worker (the executor's tasks)
         self._spans = partition_elements(mesh, nparts)
-        #: process-backend staleness stamp (see executor state transport):
+        #: rank-snapshot staleness stamp (see repro.parallel.procomm):
         #: BOTH geometry and coefficient state, not just the mesh
         self._parallel_state_version = (mesh.coords_version, self.eta_version)
 
@@ -132,7 +131,7 @@ class ViscousOperatorBase:
         :meth:`_before_apply` (which is probabilistic in principle --
         CRC-32 collisions -- and skippable by performance-critical callers
         that know when they mutate).  Cached coefficient tensors rebuild
-        and process workers re-snapshot on the next apply.
+        and rank processes re-snapshot on the next apply.
         """
         self.eta_version += 1
         self._eta_fingerprint = self._eta_crc()

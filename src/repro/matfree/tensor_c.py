@@ -27,7 +27,7 @@ Cache invalidation follows the state-version contract of
 :class:`~repro.matfree.base.ViscousOperatorBase`: the packed tensor is
 keyed on ``(mesh.coords_version, eta_version)``, so both mesh motion *and*
 viscosity re-linearization (in-place or via ``set_viscosity``) rebuild it
-and force process workers to re-snapshot.
+and force rank processes to re-snapshot.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class TensorCOperator(TensorOperator):
 
     def _before_apply(self) -> None:
         # refresh eta_version/fingerprint and the executor staleness stamp
-        # first, then rebuild in the hook (rather than mid-apply) so process
-        # workers fork a snapshot that already carries the fresh tensor
+        # first, then rebuild in the hook (rather than mid-apply) so rank
+        # processes fork a snapshot that already carries the fresh tensor
         super()._before_apply()
         key = (self.mesh.coords_version, self.eta_version)
         if key != self._coeff_key:

@@ -18,8 +18,8 @@ arXiv 2509.19061), this backend lowers the packed-coefficient apply of
   streamed directly -- ~5x less coefficient traffic, which is what moves
   the roofline position at 16^3-32^3;
 * the kernel is a plain ``ctypes`` call, so the GIL is released: the
-  thread backend of :class:`~repro.parallel.executor.ParallelExecutor`
-  scales it across element slabs with the same task-ordered, bit-exact
+  worker threads of :class:`~repro.parallel.executor.ParallelExecutor`
+  scale it across element slabs with the same task-ordered, bit-exact
   reduction as every other kernel.
 
 When no C toolchain is available (or ``$REPRO_NO_CKERNEL`` is set) the

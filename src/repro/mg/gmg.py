@@ -75,9 +75,6 @@ class GMGConfig:
         Shared-memory worker count for per-level operator applies and
         smoothing (``None`` reads ``$REPRO_WORKERS``; 1 = serial).  One
         executor is shared by every level.
-    parallel_backend:
-        Executor backend (``thread``/``process``/``auto``); ``None`` reads
-        ``$REPRO_PARALLEL_BACKEND``.
     """
 
     levels: int = 3
@@ -89,7 +86,6 @@ class GMGConfig:
     coarse_solver: str = "sa"
     coarse_nblocks: int = 1
     workers: int | None = None
-    parallel_backend: str | None = None
     sa_config: SAConfig = field(default_factory=SAConfig)
     asm_overlap: int = 4
     asm_rtol: float = 1e-4
@@ -174,7 +170,7 @@ def build_gmg(
     quad = GaussQuadrature.hex(3)
     bcs = [bc_builder(m) for m in meshes]
     # one shared worker pool for every level's applies and smoothing
-    executor = make_executor(cfg.workers, cfg.parallel_backend)
+    executor = make_executor(cfg.workers)
 
     levels: list[MGLevel] = []
     assembled: list[sp.csr_matrix | None] = [None] * cfg.levels

@@ -17,7 +17,10 @@ Two communicators share one surface:
   detection, and checkpoint-based recovery
   (:mod:`repro.parallel.procomm`), with the rank-decomposed solve
   (:mod:`repro.parallel.distributed`) asserted bit-identical to the
-  oracle's.
+  oracle's.  It is the package's only process runtime.
+
+Inside one process, :class:`ParallelExecutor` fans element slabs out to
+threads (:mod:`repro.parallel.executor`).
 """
 
 from .comm import CommStats, VirtualComm, tree_reduce
@@ -31,12 +34,10 @@ from .executor import (
     ExecutorStats,
     ParallelCSRMatVec,
     ParallelExecutor,
-    WorkerCrash,
     current_override,
     make_executor,
     partition_elements,
     partition_range,
-    resolve_backend,
     resolve_workers,
     use_executor,
 )
@@ -71,7 +72,6 @@ __all__ = [
     "ProcommEngine",
     "RankFailure",
     "VirtualRankEngine",
-    "WorkerCrash",
     "current_override",
     "halo_exchange_plan",
     "make_executor",
@@ -79,7 +79,6 @@ __all__ = [
     "partition_elements",
     "partition_range",
     "reduction_count",
-    "resolve_backend",
     "resolve_workers",
     "run_sinker_distributed",
     "tree_reduce",

@@ -7,9 +7,11 @@ Two engines satisfy the executor dispatch contract
 
 :class:`ProcommEngine`
     Fans span kernels and dot partials out to the **real rank processes**
-    of a :class:`~repro.parallel.procomm.ProcessComm`; input vectors and
-    result slabs move through the communicator's shared-memory blocks,
-    state reaches the ranks by fork inheritance.
+    of a :class:`~repro.parallel.procomm.ProcessComm` -- the package's one
+    process runtime; input vectors and result slabs move through the
+    communicator's shared-memory blocks, state reaches the ranks by fork
+    inheritance, and a state whose version stamp changed since the fork
+    is re-snapshotted by a cohort respawn.
 
 :class:`VirtualRankEngine`
     The single-process **oracle**: the identical span partition, kernels,
@@ -46,11 +48,10 @@ from .decomposition import BlockDecomposition
 from .executor import (
     ExecutorStats,
     ParallelExecutor,
-    _register_state,
     partition_range,
     use_executor,
 )
-from .procomm import CommError, ProcessComm, span_dot
+from .procomm import CommError, ProcessComm, _register_state, span_dot
 
 __all__ = [
     "ProcommEngine",
@@ -77,8 +78,6 @@ def _account_dot(comm, ntasks: int, nbytes: int) -> None:
 
 class _RankEngineBase:
     """Shared surface of the rank engines (dispatch contract + dot)."""
-
-    backend = "rank"
 
     def __init__(self, comm):
         self.comm = comm
@@ -148,8 +147,6 @@ class VirtualRankEngine(_RankEngineBase):
     is the bit-exactness reference for :class:`ProcommEngine`.
     """
 
-    backend = "virtual"
-
     def __init__(self, comm: VirtualComm | None = None, size: int = 2):
         super().__init__(comm if comm is not None else VirtualComm(size))
 
@@ -176,12 +173,10 @@ class ProcommEngine(_RankEngineBase):
     posted round-robin to the ranks; every rank writes its partial into
     its own disjoint slab of the output block; the master reduces the
     slabs in task order.  State objects reach the ranks by fork
-    inheritance (the executor's ``_FORK_REGISTRY`` snapshot): a
-    ``(token, version)`` pair the live cohort has not snapshotted
-    triggers a cohort respawn, exactly the process-pool semantics.
+    inheritance (the ``_FORK_REGISTRY`` snapshot of
+    :mod:`~repro.parallel.procomm`): a ``(token, version)`` pair the live
+    cohort has not snapshotted triggers a cohort respawn.
     """
-
-    backend = "procomm"
 
     def __init__(self, comm: ProcessComm):
         super().__init__(comm)
@@ -241,7 +236,7 @@ class ProcommEngine(_RankEngineBase):
                     reply.get("busy", 0.0))
         if stale:
             # the state mutated without a version bump since the cohort
-            # forked; one respawn re-snapshots it (pool semantics)
+            # forked; one respawn re-snapshots it
             comm.snapshot_known.discard((token, version))
             if not _retry:
                 raise CommError(

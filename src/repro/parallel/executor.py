@@ -3,22 +3,28 @@
 The paper's tensor-product kernel makes the Stokes operator embarrassingly
 element-parallel: every element batch reads the input vector and writes
 disjoint *element* contributions, with conflicts only at the scatter.  This
-module supplies the process-level analogue of the paper's per-rank element
-loop for the sequential reproduction:
+module supplies the intranode analogue of the paper's per-rank element
+loop:
 
 * elements are partitioned into contiguous slabs via the existing
   :class:`~repro.parallel.decomposition.BlockDecomposition` (a ``(1, 1, p)``
   split of the structured grid -- the element index is x-fastest, so each
   subdomain is one contiguous index range);
-* slabs are fanned out to a persistent ``ThreadPoolExecutor`` or
-  fork-based ``ProcessPoolExecutor`` (backend selectable, default auto);
-* for the process backend, the input vector and the per-task output slabs
-  live in ``multiprocessing.shared_memory`` blocks, so only a few floats
-  cross the pickle boundary per task;
+* slabs are fanned out to a persistent ``ThreadPoolExecutor``, one thread
+  per worker; one worker runs inline with no pool at all;
 * the scatter is race-free by construction: every task accumulates into its
   **own** output buffer and the master reduces the partials **in task
   order**, so the floating-point addition chain is exactly the one the
   serial path executes and results match serial bit for bit.
+
+Memory model
+------------
+Threads share every array with the master, so there is no snapshot to go
+stale: a kernel always reads the state object as it is at dispatch time.
+The element kernels spend their time in einsum/BLAS or in the compiled
+Tensor-C loop, all of which release the GIL.  Process-level parallelism --
+forked ranks, shared-memory transport, fork-time state snapshots and crash
+isolation -- lives in one place, :mod:`repro.parallel.procomm`.
 
 Determinism contract
 --------------------
@@ -29,57 +35,37 @@ Determinism contract
 where ``partial(s, e) = getattr(state, method)(u, s, e)``.  The serial
 reference :meth:`ParallelExecutor.run_serial` evaluates the identical
 expression inline, hence ``np.array_equal`` between the two holds for any
-worker count and backend (the kernels themselves are dot-reduction-free;
-each partial is computed by exactly one task).
-
-Process-backend state transport
--------------------------------
-Worker processes are forked **after** the dispatched state object exists,
-so they inherit it by copy-on-write; only a small integer token travels
-with each task.  Registered state must therefore be immutable while the
-pool lives, or carry a ``_parallel_state_version`` stamp -- any hashable,
-``!=``-comparable value; the matfree operators publish the tuple
-``(mesh.coords_version, eta_version)`` so both mesh motion and viscosity
-re-linearization invalidate the snapshot (keying off the mesh alone let
-in-place ``eta_q`` mutations run against stale forked coefficients).
-Dispatching a token/version pair the pool has not seen triggers a
-respawn, i.e. a fresh snapshot.
+worker count (the kernels themselves are dot-reduction-free; each partial
+is computed by exactly one task).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
-import weakref
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import flight as _flight
 from ..obs import metrics as _metrics
 from ..obs import registry as _obs
-from ..obs.trace import trace_resilience
 from .decomposition import BlockDecomposition
 
 __all__ = [
     "ExecutorStats",
     "ParallelCSRMatVec",
     "ParallelExecutor",
-    "WorkerCrash",
     "current_override",
     "make_executor",
     "partition_elements",
     "partition_range",
-    "resolve_backend",
     "resolve_workers",
     "use_executor",
 ]
 
-#: environment knobs honored when the call site passes ``None``
+#: environment knob honored when the call site passes ``None``
 ENV_WORKERS = "REPRO_WORKERS"
-ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
 
 # repro.obs.timeline is a ``python -m`` CLI and must not be imported at
 # package-import time (runpy double-import); resolve it on first dispatch
@@ -94,17 +80,6 @@ def _timeline():
         _TIMELINE_MOD = timeline
     return _TIMELINE_MOD
 
-_BACKENDS = ("auto", "thread", "process", "serial")
-
-
-class WorkerCrash(RuntimeError):
-    """A worker process died mid-task (segfault, ``os._exit``, OOM kill).
-
-    The broken pool is dropped; the next dispatch respawns a fresh one.
-    Ordinary exceptions raised *by the kernel* are re-raised as themselves,
-    not wrapped in this.
-    """
-
 
 @dataclass
 class ExecutorStats:
@@ -117,8 +92,7 @@ class ExecutorStats:
     reduce_seconds: float = 0.0
     bytes_in: int = 0      # input-vector bytes shipped to workers
     bytes_out: int = 0     # partial-result bytes shipped back
-    respawns: int = 0
-    crashes: int = 0       # WorkerCrash events absorbed by auto-retry
+    respawns: int = 0      # rank-cohort respawns (procomm engine only)
 
     def as_dict(self) -> dict:
         return {
@@ -130,7 +104,6 @@ class ExecutorStats:
             "bytes_in": int(self.bytes_in),
             "bytes_out": int(self.bytes_out),
             "respawns": int(self.respawns),
-            "crashes": int(self.crashes),
         }
 
 
@@ -142,20 +115,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Backend name: explicit argument, else ``$REPRO_PARALLEL_BACKEND``,
-    else ``auto``.  ``auto`` picks threads: the element kernels spend their
-    time in einsum/BLAS, which release the GIL, and threads share every
-    array for free.  The process backend exists for GIL-bound kernels and
-    must be requested explicitly (or via the environment)."""
-    if backend is None:
-        backend = os.environ.get(ENV_BACKEND, "auto") or "auto"
-    backend = str(backend)
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    return backend
 
 
 def partition_range(n: int, nparts: int) -> list[tuple[int, int]]:
@@ -188,183 +147,31 @@ def partition_elements(mesh, nparts: int) -> list[tuple[int, int]]:
     ]
 
 
-# --------------------------------------------------------------------- #
-# process-backend plumbing (module level so forked children inherit it)
-# --------------------------------------------------------------------- #
-_TOKENS = itertools.count(1)
-#: token -> state object; children snapshot this at fork time
-_FORK_REGISTRY: "weakref.WeakValueDictionary[int, object]" = (
-    weakref.WeakValueDictionary()
-)
-#: worker-side cache of attached shared-memory blocks, keyed by name
-_WORKER_SHM: dict = {}
-
-
-def _attach_shm(name: str):
-    cached = _WORKER_SHM.get(name)
-    if cached is None:
-        from multiprocessing import shared_memory
-
-        # the worker shares the master's (forked) resource tracker, so this
-        # attach-side register is a duplicate add and the master's unlink
-        # remains the single cleanup point
-        cached = shared_memory.SharedMemory(name=name)
-        _WORKER_SHM[name] = cached
-    return cached
-
-
-def _process_task(payload):
-    """Runs in a forked worker: one span of one dispatch."""
-    (token, version, method, s, e, in_name, n_in, out_name, out_off,
-     out_size, t_submit, tl_args) = payload
-    wait = time.monotonic() - t_submit
-    t0 = time.perf_counter()
-    state = _FORK_REGISTRY.get(token)
-    if state is None or getattr(state, "_parallel_state_version", 0) != version:
-        return ("stale", 0.0, 0.0, [])
-    u = np.ndarray((n_in,), dtype=np.float64, buffer=_attach_shm(in_name).buf)
-    u.flags.writeable = False
-    out = np.ndarray(
-        (out_size,), dtype=np.float64,
-        buffer=_attach_shm(out_name).buf, offset=8 * out_off,
-    )
-
-    def kernel():
-        out[:] = getattr(state, method)(u, int(s), int(e))
-
-    if tl_args is None:
-        kernel()
-        spans = []
-    else:
-        # timeline armed on the master: spool this task's spans (the task
-        # itself plus any events the fork-inherited sink captured) back
-        # through the result channel for the master to merge
-        rank, dispatch, origin = tl_args
-        _, spans = _timeline().remote_task_capture(
-            kernel, method, rank, dispatch, origin
-        )
-    return ("ok", wait, time.perf_counter() - t0, spans)
-
-
-def _register_state(state) -> int:
-    token = getattr(state, "_repro_exec_token", None)
-    if token is not None and _FORK_REGISTRY.get(token) is state:
-        return token
-    token = next(_TOKENS)
-    try:
-        state._repro_exec_token = token
-    except AttributeError:
-        pass  # slotted objects get a fresh token per dispatch (still correct)
-    _FORK_REGISTRY[token] = state
-    return token
-
-
-class _ShmBlock:
-    """A master-owned, grow-only shared-memory block."""
-
-    def __init__(self, tag: str):
-        self.tag = tag
-        self.shm = None
-
-    def ensure(self, nbytes: int) -> "_ShmBlock":
-        nbytes = max(int(nbytes), 8)
-        if self.shm is None or self.shm.size < nbytes:
-            from multiprocessing import shared_memory
-
-            self.close()
-            self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        return self
-
-    def view(self, n: int, offset: int = 0) -> np.ndarray:
-        return np.ndarray((n,), dtype=np.float64, buffer=self.shm.buf,
-                          offset=8 * offset)
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def close(self) -> None:
-        if self.shm is not None:
-            self.shm.close()
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:
-                pass
-            self.shm = None
-
-
 class ParallelExecutor:
-    """Persistent worker pool executing ``method(u, s, e)`` span kernels.
+    """Persistent thread pool executing ``method(u, s, e)`` span kernels.
 
     Parameters
     ----------
     workers:
-        Worker count; ``None`` reads ``$REPRO_WORKERS`` (default 1).
-    backend:
-        ``"thread"``, ``"process"``, ``"serial"``, or ``"auto"`` (threads);
-        ``None`` reads ``$REPRO_PARALLEL_BACKEND``.
-    retry_on_crash:
-        Absorb one :class:`WorkerCrash` per dispatch by re-running it
-        against a freshly spawned pool (the determinism contract makes the
-        retry bit-identical: every partial is recomputed from the same
-        immutable state and reduced in the same order).  A second crash in
-        the same dispatch propagates -- that is a reproducible kernel
-        fault, not a transient worker death.
+        Worker count; ``None`` reads ``$REPRO_WORKERS`` (default 1).  One
+        worker runs every dispatch inline; more run one thread each.
     """
 
-    def __init__(self, workers: int | None = None, backend: str | None = None,
-                 retry_on_crash: bool = True):
-        self.retry_on_crash = bool(retry_on_crash)
+    def __init__(self, workers: int | None = None):
         self.workers = resolve_workers(workers)
-        backend = resolve_backend(backend)
-        if backend == "auto":
-            backend = "thread"
-        if self.workers == 1:
-            backend = "serial"
-        self.backend = backend
         self.stats = ExecutorStats()
         self._tl = None            # armed timeline, re-resolved per dispatch
         self._dispatch_id = 0
         self._pool = None
-        self._crashed = False           # a WorkerCrash dropped the pool
-        self._fork_known: set = set()   # (token, version) pairs seen by pool
-        self._shm_in = _ShmBlock("in")
-        self._shm_out = _ShmBlock("out")
-        self._finalizer = weakref.finalize(
-            self, ParallelExecutor._cleanup, self._shm_in, self._shm_out
-        )
-        # telemetry: dispatch/queue-wait/crash counters are aggregated
-        # into every repro.obs export (weak registration; no lifetime tie)
+        # telemetry: dispatch/queue-wait counters are aggregated into
+        # every repro.obs export (weak registration; no lifetime tie)
         _metrics.STATS_SOURCES.add(self)
 
-    # -- lifecycle ------------------------------------------------------ #
-    @staticmethod
-    def _cleanup(shm_in: _ShmBlock, shm_out: _ShmBlock) -> None:
-        shm_in.close()
-        shm_out.close()
-
     def shutdown(self) -> None:
-        """Stop workers and release shared memory (idempotent)."""
+        """Stop the worker threads (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        self._fork_known.clear()
-        self._shm_in.close()
-        self._shm_out.close()
-
-    def _respawn_pool(self) -> None:
-        import multiprocessing
-
-        if self._pool is not None or self._crashed:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-            self.stats.respawns += 1
-            self._crashed = False
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        self._fork_known = set()
 
     # -- dispatch ------------------------------------------------------- #
     def dispatch(
@@ -394,33 +201,13 @@ class ParallelExecutor:
         elif sizes is None or len(sizes) != len(spans):
             raise ValueError("mode='concat' requires sizes, one per span")
         u = np.ascontiguousarray(u, dtype=np.float64)
-        if self.backend == "serial" or len(spans) == 1:
+        if self.workers == 1 or len(spans) == 1:
             return self.run_serial(state, method, spans, u, sizes, mode)
         self._tl = _timeline().armed()
         self._dispatch_id = self.stats.dispatches
         nbytes_out = 8 * int(sum(sizes))
         with _obs.timed("ParExecDispatch", nbytes=u.nbytes + nbytes_out):
-            if self.backend == "thread":
-                result = self._dispatch_threads(state, method, spans, u, sizes, mode)
-            else:
-                try:
-                    result = self._dispatch_processes(state, method, spans, u, sizes, mode)
-                except WorkerCrash:
-                    if not self.retry_on_crash:
-                        _flight.trigger("worker_crash", method=str(method),
-                                        absorbed=False)
-                        raise
-                    # the crash handler already dropped the pool; one
-                    # re-dispatch forks a fresh one and recomputes every
-                    # partial from the same state -> bit-identical result
-                    self.stats.crashes += 1
-                    t0 = time.perf_counter()
-                    result = self._dispatch_processes(state, method, spans, u, sizes, mode)
-                    elapsed = time.perf_counter() - t0
-                    _obs.log_event_seconds("ResilienceRespawn", elapsed)
-                    trace_resilience("respawn", method=str(method))
-                    _flight.trigger("worker_crash", method=str(method),
-                                    absorbed=True)
+            result = self._dispatch_threads(state, method, spans, u, mode)
         self.stats.dispatches += 1
         self.stats.tasks += len(spans)
         self.stats.bytes_in += u.nbytes
@@ -443,27 +230,7 @@ class ParallelExecutor:
             out += p
         return out
 
-    def _account(self, waits, busies, n):
-        wait = float(sum(waits))
-        busy = float(sum(busies))
-        self.stats.queue_wait_seconds += wait
-        self.stats.worker_busy_seconds += busy
-        _obs.log_event_seconds("ParExecQueueWait", wait, count=n)
-        _obs.log_event_seconds("ParExecWorkerBusy", busy, count=n)
-        if self._tl is not None:
-            # busies arrive in task-submission order == worker-rank order,
-            # so the straggler index note_dispatch records is the rank
-            self._tl.note_dispatch(busies)
-
-    def _reduce_timed(self, partials, mode):
-        t0 = time.perf_counter()
-        with _obs.timed("ParExecReduce"):
-            out = self._reduce(partials, mode)
-        self.stats.reduce_seconds += time.perf_counter() - t0
-        return out
-
-    # -- thread backend ------------------------------------------------- #
-    def _dispatch_threads(self, state, method, spans, u, sizes, mode):
+    def _dispatch_threads(self, state, method, spans, u, mode):
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers,
@@ -497,74 +264,19 @@ class ParallelExecutor:
             partials.append(p)
             waits.append(w)
             busies.append(b)
-        self._account(waits, busies, len(spans))
-        return self._reduce_timed(partials, mode)
-
-    # -- process backend ------------------------------------------------ #
-    def _dispatch_processes(self, state, method, spans, u, sizes, mode,
-                            _retry: bool = True):
-        token = _register_state(state)
-        version = getattr(state, "_parallel_state_version", 0)
-        if self._pool is None or (token, version) not in self._fork_known:
-            self._respawn_pool()
-            self._fork_known.add((token, version))
-        n_in = u.size
-        self._shm_in.ensure(u.nbytes)
-        self._shm_in.view(n_in)[:] = u
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        self._shm_out.ensure(8 * int(offsets[-1]))
-        in_name, out_name = self._shm_in.name, self._shm_out.name
-        tl = self._tl
-        payloads = [
-            (token, version, method, s, e, in_name, n_in, out_name,
-             int(offsets[i]), int(sizes[i]), time.monotonic(),
-             (i, self._dispatch_id, tl.origin) if tl is not None else None)
-            for i, (s, e) in enumerate(spans)
-        ]
-        futures = [self._pool.submit(_process_task, p) for p in payloads]
-        waits, busies, shipped, stale = [], [], [], False
-        try:
-            for fut in futures:
-                status, w, b, sp = fut.result()
-                if status == "stale":
-                    stale = True
-                else:
-                    waits.append(w)
-                    busies.append(b)
-                    shipped.extend(sp)
-        except BrokenExecutor as err:
-            self._pool = None
-            self._crashed = True
-            self._fork_known = set()
-            raise WorkerCrash(
-                f"a worker process died while applying {method!r} "
-                f"(spans={len(spans)}); the pool will be respawned on the "
-                "next dispatch"
-            ) from err
-        if stale:
-            # state mutated without a version bump since the fork snapshot;
-            # respawn once so the children re-inherit it
-            self._fork_known.discard((token, version))
-            if not _retry:
-                raise WorkerCrash(
-                    f"worker state for {type(state).__name__}.{method} is "
-                    "stale even after a pool respawn"
-                )
-            return self._dispatch_processes(
-                state, method, spans, u, sizes, mode, _retry=False
-            )
-        if tl is not None and shipped:
-            # merge only after the whole pass succeeded: a stale pass was
-            # re-dispatched above and its spans must not double-count
-            tl.ingest(shipped)
-        self._account(waits, busies, len(spans))
-        partials = [
-            self._shm_out.view(int(sizes[i]), int(offsets[i]))
-            for i in range(len(spans))
-        ]
-        out = self._reduce_timed(partials, mode)
-        if mode == "concat":
-            return out  # np.concatenate already copied out of shared memory
+        wait, busy = float(sum(waits)), float(sum(busies))
+        self.stats.queue_wait_seconds += wait
+        self.stats.worker_busy_seconds += busy
+        _obs.log_event_seconds("ParExecQueueWait", wait, count=len(spans))
+        _obs.log_event_seconds("ParExecWorkerBusy", busy, count=len(spans))
+        if tl is not None:
+            # busies arrive in task-submission order == worker-rank order,
+            # so the straggler index note_dispatch records is the rank
+            tl.note_dispatch(busies)
+        t0 = time.perf_counter()
+        with _obs.timed("ParExecReduce"):
+            out = self._reduce(partials, mode)
+        self.stats.reduce_seconds += time.perf_counter() - t0
         return out
 
 
@@ -588,7 +300,7 @@ class ParallelCSRMatVec:
 
     def _apply_rows(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
         block = self._blocks.get((s, e))
-        if block is None:  # forked child with different spans (never in practice)
+        if block is None:  # an engine that re-partitions the rows
             block = self._blocks[(s, e)] = self.matrix[s:e]
         return block @ u
 
@@ -643,7 +355,6 @@ def current_override():
 
 def make_executor(
     workers: int | None = None,
-    backend: str | None = None,
     executor: ParallelExecutor | None = None,
 ) -> ParallelExecutor | None:
     """Resolve the executor for an operator call site.
@@ -659,4 +370,4 @@ def make_executor(
         return _EXECUTOR_OVERRIDE[-1]
     if resolve_workers(workers) <= 1:
         return None
-    return ParallelExecutor(workers=workers, backend=backend)
+    return ParallelExecutor(workers=workers)

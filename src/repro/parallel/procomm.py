@@ -13,12 +13,21 @@ wired to the master by two pipes:
   the same newline-JSON watchdog protocol the ensemble scheduler speaks
   with its workers (PR 8), read by a per-rank reader thread.
 
+This is the package's only process runtime: the element-kernel
+executor (:mod:`repro.parallel.executor`) runs threads, so every fork,
+shared-memory block and state snapshot lives here.
+
 Bulk array data never rides the pipes: input vectors and result slabs
-move through the executor's grow-only shared-memory blocks
-(:class:`~repro.parallel.executor._ShmBlock`), exactly the PR-2 intranode
-transport.  State objects reach the ranks by fork inheritance through the
-executor's ``_FORK_REGISTRY`` -- a respawned cohort re-snapshots every
-live registered state, mirroring the process-pool semantics.
+move through grow-only shared-memory blocks (:class:`_ShmBlock`).  State
+objects reach the ranks by fork inheritance through ``_FORK_REGISTRY``:
+:func:`_register_state` gives a state object a token, and a cohort forked
+afterwards inherits it.  A state is snapshotted together with its
+``_parallel_state_version`` stamp -- any hashable, ``!=``-comparable
+value; the matfree operators publish ``(mesh.coords_version,
+eta_version)`` so both mesh motion and an in-place viscosity update
+invalidate the snapshot.  A rank asked to run a ``(token, version)`` pair
+it did not inherit answers ``stale``, and the engine respawns the cohort
+(a fresh snapshot) and retries once.
 
 Fault tolerance, end to end:
 
@@ -64,7 +73,6 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 from .comm import CommStats, _payload_bytes, tree_reduce
-from .executor import _FORK_REGISTRY, _ShmBlock, _attach_shm
 
 __all__ = [
     "CommError",
@@ -149,6 +157,76 @@ def span_dot(x: np.ndarray, y: np.ndarray, s: int, e: int) -> float:
     """
     return float(np.dot(np.ascontiguousarray(x[s:e]),
                         np.ascontiguousarray(y[s:e])))
+
+
+# --------------------------------------------------------------------- #
+# fork-state plumbing (module level so forked ranks inherit it)
+# --------------------------------------------------------------------- #
+_TOKENS = itertools.count(1)
+#: token -> state object; a cohort snapshots this at fork time
+_FORK_REGISTRY: "weakref.WeakValueDictionary[int, object]" = (
+    weakref.WeakValueDictionary()
+)
+#: rank-side cache of attached shared-memory blocks, keyed by name
+_WORKER_SHM: dict = {}
+
+
+def _attach_shm(name: str):
+    cached = _WORKER_SHM.get(name)
+    if cached is None:
+        from multiprocessing import shared_memory
+
+        cached = shared_memory.SharedMemory(name=name)
+        _WORKER_SHM[name] = cached
+    return cached
+
+
+def _register_state(state) -> int:
+    """The fork token of ``state``, registering it on first use."""
+    token = getattr(state, "_repro_exec_token", None)
+    if token is not None and _FORK_REGISTRY.get(token) is state:
+        return token
+    token = next(_TOKENS)
+    try:
+        state._repro_exec_token = token
+    except AttributeError:
+        pass  # slotted objects get a fresh token per dispatch (still correct)
+    _FORK_REGISTRY[token] = state
+    return token
+
+
+class _ShmBlock:
+    """A master-owned, grow-only shared-memory block."""
+
+    def __init__(self, tag: str):
+        self.tag = tag
+        self.shm = None
+
+    def ensure(self, nbytes: int) -> "_ShmBlock":
+        nbytes = max(int(nbytes), 8)
+        if self.shm is None or self.shm.size < nbytes:
+            from multiprocessing import shared_memory
+
+            self.close()
+            self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        return self
+
+    def view(self, n: int, offset: int = 0) -> np.ndarray:
+        return np.ndarray((n,), dtype=np.float64, buffer=self.shm.buf,
+                          offset=8 * offset)
+
+    @property
+    def name(self) -> str:
+        return self.shm.name
+
+    def close(self) -> None:
+        if self.shm is not None:
+            self.shm.close()
+            try:
+                self.shm.unlink()
+            except FileNotFoundError:
+                pass
+            self.shm = None
 
 
 def _claim(path: str | None) -> bool:
@@ -415,8 +493,8 @@ class ProcessComm:
         seqs = [self._post(r, "ping") for r in range(self.size)]
         for r, seq in enumerate(seqs):
             self._wait(r, seq, "ping", timeout=self.config.startup_timeout)
-        # the cohort forked off current master memory: every state in the
-        # executor registry is snapshotted at its current version
+        # the cohort forked off current master memory: every registered
+        # state is snapshotted at its current version
         self.snapshot_known = {
             (tok, getattr(st, "_parallel_state_version", 0))
             for tok, st in list(_FORK_REGISTRY.items())
@@ -471,7 +549,7 @@ class ProcessComm:
         """Replace the cohort with a fresh fork of current master memory.
 
         Used by the dispatch engine when a state/version pair is not in
-        the cohort's snapshot (the executor's pool-respawn semantics).
+        the cohort's snapshot.
         Refuses to drop undelivered mail -- respawn is for state
         refresh, not recovery, and must not lose messages silently.
         """

@@ -215,12 +215,15 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # material state
     # ------------------------------------------------------------------ #
-    def _relocate_points(self) -> None:
+    def _relocate_points(self) -> int:
+        """Re-locate every marker on the current mesh; drop and count the
+        ones that fell outside it (e.g. above a free surface that moved)."""
         els, xi, lost = locate_points(self.mesh, self.points.x, hints=self.points.el)
         self.points.el = np.where(lost, -1, els)
         self.points.xi = xi
         if lost.any():
             self.points.remove(lost)
+        return int(lost.sum())
 
     def point_properties(self, u: np.ndarray, p: np.ndarray):
         """Per-point ``(eta, deta_dJ2, rho, yielding)`` from the flow laws."""
@@ -435,7 +438,7 @@ class Simulation:
                                               repair_surface=True)
                     else:
                         remesh_vertical(self.mesh)
-                    self._relocate_points()
+                    lost_count += self._relocate_points()
                     self._B = None  # geometry changed
 
             if self.energy is not None and dt > 0:

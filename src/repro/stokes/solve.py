@@ -49,9 +49,11 @@ class StokesConfig:
     project_pressure_nullspace: bool = False
     mg_cycles: int = 1
     gamma: int = 1  # multigrid cycle index (1 = V, 2 = W)
-    #: shared-memory workers for the element-kernel hot path (None reads
-    #: $REPRO_WORKERS; 1 = serial); backend: thread/process/auto
+    #: shared-memory worker threads for the element-kernel hot path (None
+    #: reads $REPRO_WORKERS; 1 = serial)
     workers: int | None = None
+    #: None, "auto" or "thread": the executor runs threads only, so this
+    #: selects nothing; it is checked and kept for configs that name it
     parallel_backend: str | None = None
     #: velocity-block preconditioner: 'gmg' (the paper's V-cycle) or
     #: 'jacobi' (diagonal scaling -- the last rung of the fallback ladder,
@@ -60,6 +62,15 @@ class StokesConfig:
     #: outer divergence tolerance: residual growth past ``dtol * ||r0||``
     #: stops the solve with ``DIVERGED_DTOL`` (0 disables)
     dtol: float = DEFAULT_DTOL
+
+    def __post_init__(self):
+        if self.parallel_backend not in (None, "auto", "thread"):
+            hint = (" -- rank processes are repro.parallel.procomm"
+                    if self.parallel_backend == "process" else "")
+            raise ValueError(
+                "parallel_backend must be None, 'auto' or 'thread', got "
+                f"{self.parallel_backend!r}{hint}"
+            )
 
     def gmg_config(self) -> GMGConfig:
         return GMGConfig(
@@ -72,7 +83,6 @@ class StokesConfig:
             cycles=self.mg_cycles,
             gamma=self.gamma,
             workers=self.workers,
-            parallel_backend=self.parallel_backend,
         )
 
 
@@ -144,7 +154,6 @@ def solve_stokes(
         op = StokesOperator(
             problem, kind=cfg.operator, velocity_operator=velocity_operator,
             divergence=divergence, workers=cfg.workers,
-            parallel_backend=cfg.parallel_backend,
         )
         if cfg.velocity_pc == "jacobi":
             # last rung of the fallback ladder: diagonal scaling of the

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,27 @@ def free_slip_bc(mesh) -> DirichletBC:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@contextlib.contextmanager
+def parallel_engine(backend: str, workers: int):
+    """A dispatch engine with ``workers`` workers.
+
+    ``"thread"`` is the shared-memory :class:`ParallelExecutor`;
+    ``"process"`` is the rank engine over forked processes of
+    :mod:`repro.parallel.procomm`, the package's one process runtime.
+    """
+    from repro.parallel import ParallelExecutor, ProcessComm, ProcommEngine
+
+    if backend == "thread":
+        ex = ParallelExecutor(workers=workers)
+        try:
+            yield ex
+        finally:
+            ex.shutdown()
+    else:
+        comm = ProcessComm(workers)
+        try:
+            yield ProcommEngine(comm)
+        finally:
+            comm.close()

@@ -1,7 +1,12 @@
-"""Shared-memory parallel element-kernel engine: determinism, backends,
-crash handling, and the wiring through operators, assembly, and multigrid."""
+"""Shared-memory parallel element-kernel engine: determinism, state
+versioning, failure modes, and the wiring through operators, assembly, and
+multigrid.
 
-import os
+The executor runs threads.  Tests parametrized over ``backend`` repeat
+their bit-identity checks with ``"process"``: the rank engine over the
+forked processes of :mod:`repro.parallel.procomm`, the package's one
+process runtime.
+"""
 
 import numpy as np
 import pytest
@@ -13,16 +18,15 @@ from repro.parallel import (
     ExchangeStats,
     ParallelCSRMatVec,
     ParallelExecutor,
-    WorkerCrash,
     make_executor,
     measured_exchange,
     partition_elements,
     partition_range,
-    resolve_backend,
     resolve_workers,
 )
 from repro.parallel.halo import halo_exchange_plan
 from repro.parallel.decomposition import BlockDecomposition
+from tests.conftest import parallel_engine
 
 QUAD = GaussQuadrature.hex(3)
 KINDS = ["asmb", "mf", "tensor", "tensor_c", "tensor_compiled"]
@@ -83,26 +87,27 @@ class TestResolution:
         with pytest.raises(ValueError):
             resolve_workers(0)
 
-    def test_resolve_backend_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
-        assert resolve_backend(None) == "auto"
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
-        assert resolve_backend(None) == "process"
-        with pytest.raises(ValueError):
-            resolve_backend("mpi")
-
     def test_make_executor(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert make_executor(None, None) is None
-        assert make_executor(1, "thread") is None
-        ex = make_executor(2, "thread")
+        assert make_executor(None) is None
+        assert make_executor(1) is None
+        ex = make_executor(2)
         assert isinstance(ex, ParallelExecutor) and ex.workers == 2
-        assert make_executor(4, None, executor=ex) is ex
+        assert make_executor(4, executor=ex) is ex
         ex.shutdown()
+
+    def test_stokes_config_rejects_the_process_backend(self):
+        from repro.stokes.solve import StokesConfig
+
+        for ok in (None, "auto", "thread"):
+            assert StokesConfig(parallel_backend=ok).parallel_backend == ok
+        with pytest.raises(ValueError, match="repro.parallel.procomm"):
+            StokesConfig(parallel_backend="process")
+        with pytest.raises(ValueError, match="parallel_backend"):
+            StokesConfig(parallel_backend="mpi")
 
     def test_env_workers_activate_operator(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "thread")
         mesh, eta, u = small_setup()
         op = make_operator("tensor", mesh, eta, quad=QUAD)
         assert op.executor is not None and op.executor.workers == 2
@@ -119,155 +124,127 @@ class TestBitIdenticalOperators:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_apply_matches_serial_exactly(self, kind, backend):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            kind, mesh, eta, quad=QUAD, workers=3, parallel_backend=backend
-        )
-        y_par = op.apply(u)
-        y_ser = op.apply_serial(u)
+        with parallel_engine(backend, 3) as ex:
+            op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
+            y_par = op.apply(u)
+            y_ser = op.apply_serial(u)
         assert np.array_equal(y_par, y_ser)  # rtol=0: bitwise
-        op.executor.shutdown()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_assembled_matvec_matches_plain_spmv(self, backend):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            "asmb", mesh, eta, quad=QUAD, workers=3, parallel_backend=backend
-        )
-        assert np.array_equal(op.apply(u), op.matrix @ u)
-        op.executor.shutdown()
+        with parallel_engine(backend, 3) as ex:
+            op = make_operator("asmb", mesh, eta, quad=QUAD, executor=ex)
+            assert np.array_equal(op.apply(u), op.matrix @ u)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_assembly_identical(self, backend):
         mesh, eta, _ = small_setup()
-        ex = ParallelExecutor(workers=3, backend=backend)
         A_ser = assembly.assemble_viscous(mesh, eta, QUAD)
-        A_par = assembly.assemble_viscous(mesh, eta, QUAD, executor=ex)
+        with parallel_engine(backend, 3) as ex:
+            A_par = assembly.assemble_viscous(mesh, eta, QUAD, executor=ex)
         assert np.array_equal(A_ser.indptr, A_par.indptr)
         assert np.array_equal(A_ser.indices, A_par.indices)
         assert np.array_equal(A_ser.data, A_par.data)
-        ex.shutdown()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_diagonal_close_to_serial(self, backend):
         # the diagonal scatter-adds span partials, so parallel-vs-plain
         # differs only by summation association (<= a few ulp)
         mesh, eta, _ = small_setup()
-        ex = ParallelExecutor(workers=3, backend=backend)
         d_ser = assembly.viscous_diagonal(mesh, eta, QUAD)
-        d_par = assembly.viscous_diagonal(mesh, eta, QUAD, executor=ex)
+        with parallel_engine(backend, 3) as ex:
+            d_par = assembly.viscous_diagonal(mesh, eta, QUAD, executor=ex)
         assert np.allclose(d_ser, d_par, rtol=1e-14, atol=0)
-        ex.shutdown()
 
     def test_csr_matvec_bit_identical(self, rng):
         import scipy.sparse as sp
 
         A = sp.random(300, 300, density=0.05, random_state=123, format="csr")
         u = rng.standard_normal(300)
-        ex = ParallelExecutor(workers=4, backend="thread")
+        ex = ParallelExecutor(workers=4)
         mv = ParallelCSRMatVec(A, ex)
         assert np.array_equal(mv(u), A @ u)
         ex.shutdown()
 
 
+def _deform(mesh):
+    mesh.deform(lambda c: c + 0.02 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 class TestStateVersioning:
-    @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "asmb"])
-    def test_mesh_deform_keeps_process_backend_exact(self, kind):
+    """Coefficient caches follow the ``(coords_version, eta_version)``
+    state contract, serially and on 2 worker threads.
+
+    Before that contract an in-place viscosity re-linearization silently
+    applied a stale operator: the coefficient-caching kinds kept the old
+    viscosity in their cached tensor.  Every reference below is built
+    with the same worker count, so its span-partial reduction order
+    matches bitwise."""
+
+    @pytest.mark.parametrize(
+        "kind", ["tensor", "tensor_c", "tensor_compiled", "asmb"])
+    def test_mesh_deform_rebuilds_coefficients(self, kind, workers):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            kind, mesh, eta, quad=QUAD, workers=2, parallel_backend="process"
-        )
-        op.apply(u)  # spawn the pool on the original geometry
+        op = make_operator(kind, mesh, eta, quad=QUAD, workers=workers)
+        op.apply(u)  # cache coefficients on the original geometry
         if kind == "asmb":
             # the assembled matrix is geometry-frozen; just re-apply
             assert np.array_equal(op.apply(u), op.apply_serial(u))
         else:
-            mesh.deform(lambda c: c + 0.02 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
-            y_par = op.apply(u)
-            assert np.array_equal(y_par, op.apply_serial(u))
-            assert op.executor.stats.respawns >= 1
-        op.executor.shutdown()
+            _deform(mesh)
+            y = op.apply(u)
+            assert np.array_equal(y, op.apply_serial(u))
+            fresh = make_operator(kind, mesh, eta, quad=QUAD, workers=workers)
+            assert np.array_equal(y, fresh.apply_serial(u))
+            if fresh.executor is not None:
+                fresh.executor.shutdown()
+        if op.executor is not None:
+            op.executor.shutdown()
 
     @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "tensor_compiled"])
-    def test_eta_mutation_keeps_process_backend_exact(self, kind):
-        """Headline regression: in-place viscosity re-linearization must
-        rebuild cached coefficients AND re-snapshot process workers.
-
-        Before the ``(coords_version, eta_version)`` state contract this
-        silently applied a stale operator: for the coefficient-caching
-        kinds the cached ``_C`` kept the old viscosity everywhere, and for
-        every kind the forked workers kept the old ``eta_q`` snapshot --
-        so the parallel result diverged from serial (``tensor``) or both
-        matched the *wrong* operator (``tensor_c``)."""
+    def test_eta_mutation_rebuilds_coefficients(self, kind, workers):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            kind, mesh, eta.copy(), quad=QUAD, workers=2,
-            parallel_backend="process",
-        )
-        op.apply(u)  # fork snapshot carries the original viscosity
+        op = make_operator(kind, mesh, eta.copy(), quad=QUAD, workers=workers)
+        op.apply(u)  # cache coefficients for the original viscosity
         op.eta_q *= 1.7  # in-place re-linearization: no new array object
-        y_par = op.apply(u)
-        y_ser = op.apply_serial(u)
-        assert np.array_equal(y_par, y_ser)  # rtol=0: bitwise
-        # and both must reflect the NEW viscosity, not the cached one
-        # (same workers so the span-partial reduction order matches bitwise)
-        ref_op = make_operator(
-            kind, mesh, eta * 1.7, quad=QUAD, workers=2,
-            parallel_backend="process",
-        )
-        assert np.array_equal(y_ser, ref_op.apply_serial(u))
-        ref_op.executor.shutdown()
-        assert op.executor.stats.respawns >= 1
-        op.executor.shutdown()
+        y = op.apply(u)
+        assert np.array_equal(y, op.apply_serial(u))  # rtol=0: bitwise
+        # and it must reflect the NEW viscosity, not the cached one
+        ref_op = make_operator(kind, mesh, eta * 1.7, quad=QUAD,
+                               workers=workers)
+        assert np.array_equal(y, ref_op.apply_serial(u))
+        for o in (op, ref_op):
+            if o.executor is not None:
+                o.executor.shutdown()
 
-    def test_set_viscosity_respawns_process_pool(self):
+    def test_set_viscosity_rebuilds_coefficients(self, workers):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor_c", mesh, eta, quad=QUAD, workers=2,
-            parallel_backend="process",
-        )
+        op = make_operator("tensor_c", mesh, eta, quad=QUAD, workers=workers)
         op.apply(u)
         op.set_viscosity(eta * 0.25)
-        assert np.array_equal(op.apply(u), op.apply_serial(u))
-        assert op.executor.stats.respawns >= 1
-        op.executor.shutdown()
-
-
-class _CrashKernel:
-    """Kernel whose spans beyond the first kill the worker process."""
-
-    _parallel_state_version = 0
-
-    def partial(self, u, s, e):
-        if s > 0:
-            os._exit(13)
-        return np.zeros(4)
+        y = op.apply(u)
+        assert np.array_equal(y, op.apply_serial(u))
+        ref_op = make_operator("tensor_c", mesh, eta * 0.25, quad=QUAD,
+                               workers=workers)
+        assert np.array_equal(y, ref_op.apply_serial(u))
+        for o in (op, ref_op):
+            if o.executor is not None:
+                o.executor.shutdown()
 
 
 class _RaisingKernel:
-    _parallel_state_version = 0
-
     def partial(self, u, s, e):
         raise ValueError("bad coefficient block")
 
 
 class TestFailureModes:
-    def test_worker_crash_raises_workercrash(self):
-        ex = ParallelExecutor(workers=2, backend="process")
-        spans = [(0, 2), (2, 4)]
-        with pytest.raises(WorkerCrash):
-            ex.dispatch(_CrashKernel(), "partial", spans, np.zeros(4), out_len=4)
-        # the engine recovers: next dispatch respawns and succeeds
-        mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor", mesh, eta, quad=QUAD, workers=2,
-            parallel_backend="process", executor=ex,
-        )
-        assert np.array_equal(op.apply(u), op.apply_serial(u))
-        ex.shutdown()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
+    # threads only: a rank process reports a kernel exception as a
+    # CommError (see tests/test_procomm.py)
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_kernel_exception_propagates_as_itself(self, backend):
-        ex = ParallelExecutor(workers=2, backend=backend)
+        ex = ParallelExecutor(workers=2)
         with pytest.raises(ValueError, match="bad coefficient block"):
             ex.dispatch(
                 _RaisingKernel(), "partial", [(0, 2), (2, 4)], np.zeros(4),
@@ -276,7 +253,7 @@ class TestFailureModes:
         ex.shutdown()
 
     def test_dispatch_argument_validation(self):
-        ex = ParallelExecutor(workers=2, backend="thread")
+        ex = ParallelExecutor(workers=2)
         with pytest.raises(ValueError, match="out_len"):
             ex.dispatch(_RaisingKernel(), "partial", [(0, 1)], np.zeros(2))
         with pytest.raises(ValueError, match="sizes"):
@@ -296,12 +273,11 @@ class TestStatsAndObservability:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stats_accumulate(self, backend):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor", mesh, eta, quad=QUAD, workers=3, parallel_backend=backend
-        )
-        for _ in range(3):
-            op.apply(u)
-        st = op.executor.stats
+        with parallel_engine(backend, 3) as ex:
+            op = make_operator("tensor", mesh, eta, quad=QUAD, executor=ex)
+            for _ in range(3):
+                op.apply(u)
+        st = ex.stats
         assert st.dispatches == 3
         assert st.tasks == 3 * len(op._spans)
         assert st.bytes_in == 3 * u.nbytes
@@ -311,14 +287,11 @@ class TestStatsAndObservability:
         assert st.reduce_seconds >= 0.0
         d = st.as_dict()
         assert d["dispatches"] == 3 and d["tasks"] == st.tasks
-        op.executor.shutdown()
 
     def test_obs_events_emitted(self):
         obs.enable()
         mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor", mesh, eta, quad=QUAD, workers=2, parallel_backend="thread"
-        )
+        op = make_operator("tensor", mesh, eta, quad=QUAD, workers=2)
         op.apply(u)
         names = {name for (_, name) in obs.registry.REGISTRY.events}
         assert "ParExecDispatch" in names
@@ -329,9 +302,7 @@ class TestStatsAndObservability:
 
     def test_measured_halo_exchange(self):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor", mesh, eta, quad=QUAD, workers=2, parallel_backend="thread"
-        )
+        op = make_operator("tensor", mesh, eta, quad=QUAD, workers=2)
         decomp = BlockDecomposition(mesh, (1, 1, 2))
         before = halo_exchange_plan(decomp, executor=op.executor)
         assert not before.measured  # no dispatch yet: analytic model
@@ -363,7 +334,7 @@ class TestMultigridWiring:
                             GMGConfig(levels=2, coarse_solver="lu", workers=1))
         mg_p, _ = build_gmg(meshes, etas, free_slip_bc,
                             GMGConfig(levels=2, coarse_solver="lu",
-                                      workers=2, parallel_backend="thread"))
+                                      workers=2))
         assert mg_s.parallel_stats() is None
         b = rng.standard_normal(3 * mesh.nnodes)
         b[free_slip_bc(mesh).mask] = 0.0

@@ -20,6 +20,7 @@ from repro import obs
 from repro.obs import metrics
 from repro.parallel import (
     BlockDecomposition,
+    CommError,
     CommTimeout,
     ProcessComm,
     ProcommConfig,
@@ -238,6 +239,48 @@ class TestRankEngines:
             assert real.bytes == oracle.comm.stats.bytes
             assert real.reductions == oracle.comm.stats.reductions
         oracle.shutdown()
+
+    @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "tensor_compiled"])
+    def test_in_place_eta_update_resnapshots_ranks(self, kind):
+        """The fork-snapshot staleness check lives only in procomm: after
+        an in-place ``eta_q *= f`` between two 2-rank applies, the ranks
+        apply the new viscosity, bit for bit what the inline oracle
+        computes for an operator built with it."""
+        from repro.fem import GaussQuadrature, StructuredMesh
+        from repro.matfree import make_operator
+
+        quad = GaussQuadrature.hex(3)
+        rng = np.random.default_rng(4)
+        mesh = StructuredMesh((3, 3, 4), order=2)
+        eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, quad.npoints)))
+        u = rng.standard_normal(3 * mesh.nnodes)
+        oracle = VirtualRankEngine(size=2)
+        want = make_operator(kind, mesh, eta * 1.7, quad=quad,
+                             executor=oracle).apply(u)
+        with procomm(2) as comm:
+            engine = ProcommEngine(comm)
+            op = make_operator(kind, mesh, eta.copy(), quad=quad,
+                               executor=engine)
+            first = op.apply(u)
+            respawns = engine.stats.respawns
+            op.eta_q *= 1.7  # no new array object, no explicit bump
+            got = op.apply(u)
+            assert engine.stats.respawns > respawns
+        assert np.array_equal(got, want)
+        assert not np.array_equal(first, got)
+        oracle.shutdown()
+
+    def test_kernel_exception_reaches_the_caller(self):
+        class Raising:
+            def partial(self, u, s, e):
+                raise ValueError("bad coefficient block")
+
+        with procomm(2) as comm:
+            engine = ProcommEngine(comm)
+            with pytest.raises(CommError,
+                               match="ValueError: bad coefficient block"):
+                engine.dispatch(Raising(), "partial", [(0, 2), (2, 4)],
+                                np.zeros(4), out_len=4)
 
     def test_cg_reductions_route_through_engine(self):
         # use_dot must steer every CG inner product through the fixed

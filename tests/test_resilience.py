@@ -1,5 +1,6 @@
 """Solver resilience layer: reasons, guards, fault injection, fallback,
-rollback, and crash recovery (the adversarial suite of the robustness PR)."""
+rollback, and checkpoint recovery (the adversarial suite).  Rank-process
+death and recovery are tested in ``tests/test_procomm.py``."""
 
 import glob
 import os
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.parallel.executor import ParallelExecutor, WorkerCrash, partition_range
 from repro.resilience import (
     BreakdownError,
     ConvergedReason,
@@ -17,7 +17,6 @@ from repro.resilience import (
     FaultInjector,
     ResidualGuard,
     Rung,
-    WorkerKiller,
     default_rungs,
     nonfinite,
 )
@@ -635,63 +634,6 @@ class TestCheckpointRobustness:
         del snap["u"]
         with pytest.raises(ValueError, match="missing required key"):
             restore_state(sim, snap)
-
-
-# --------------------------------------------------------------------- #
-# executor crash recovery
-# --------------------------------------------------------------------- #
-class _SquareKernel:
-    """Trivial deterministic span kernel for crash tests."""
-
-    _parallel_state_version = 0
-
-    def __init__(self, n):
-        self.n = n
-
-    def apply_span(self, u, s, e):
-        out = np.zeros(self.n)
-        out[s:e] = u[s:e] ** 2 + 3.0 * u[s:e]
-        return out
-
-
-@pytest.mark.skipif(os.name != "posix", reason="fork backend is POSIX-only")
-class TestExecutorCrashRecovery:
-    def test_worker_kill_recovers_bit_identical(self, tmp_path):
-        n = 64
-        state = _SquareKernel(n)
-        killer = WorkerKiller(state, "apply_span",
-                              str(tmp_path / "kill.sentinel"))
-        ex = ParallelExecutor(workers=2, backend="process")
-        try:
-            spans = partition_range(n, 2)
-            u = np.linspace(-1.0, 1.0, n)
-            got = ex.dispatch(killer, "kernel", spans, u, out_len=n)
-            want = ParallelExecutor.run_serial(state, "apply_span", spans, u,
-                                               [n] * len(spans))
-            assert np.array_equal(got, want)  # bit-identical after respawn
-            assert ex.stats.crashes == 1
-            assert ex.stats.respawns >= 1
-            assert os.path.exists(str(tmp_path / "kill.sentinel"))
-        finally:
-            ex.shutdown()
-
-    def test_retry_disabled_raises(self, tmp_path):
-        n = 16
-        state = _SquareKernel(n)
-        killer = WorkerKiller(state, "apply_span",
-                              str(tmp_path / "kill2.sentinel"))
-        ex = ParallelExecutor(workers=2, backend="process",
-                              retry_on_crash=False)
-        try:
-            with pytest.raises(WorkerCrash):
-                ex.dispatch(killer, "kernel", partition_range(n, 2),
-                            np.ones(n), out_len=n)
-        finally:
-            ex.shutdown()
-
-    def test_crash_counter_in_stats_dict(self):
-        ex = ParallelExecutor(workers=1)
-        assert "crashes" in ex.stats.as_dict()
 
 
 # --------------------------------------------------------------------- #

@@ -113,6 +113,47 @@ class TestSinker:
         # markers are tracked: both lithologies still present
         assert set(np.unique(sim.points.lithology)) == {0, 1}
 
+    def test_marker_balance_counts_markers_the_ale_move_drops(self,
+                                                               monkeypatch):
+        """``before - points_lost + points_injected == after`` on a
+        free-surface step, with the surface forced low enough that the
+        relocation on the moved mesh drops markers."""
+        import repro.sim.timeloop as timeloop
+
+        real_update = timeloop.update_free_surface
+
+        def sunk_surface(mesh, u, dt):
+            # lower the surface by a third of the top element layer (two
+            # Q2 node planes), so the markers near the top end up above it
+            real_update(mesh, u, dt)
+            nnx, nny, nnz = mesh.nodes_per_dim
+            c = mesh.coords.reshape(nnz, nny, nnx, 3).copy()
+            c[-1, :, :, 2] -= (c[-1, :, :, 2] - c[-3, :, :, 2]) / 3.0
+            mesh.set_coords(c.reshape(-1, 3))
+            return c[-1, :, :, 2]
+
+        real_relocate = Simulation._relocate_points
+        dropped = []
+
+        def counted_relocate(sim):
+            dropped.append(real_relocate(sim))
+            return dropped[-1]
+
+        monkeypatch.setattr(timeloop, "update_free_surface", sunk_surface)
+        monkeypatch.setattr(Simulation, "_relocate_points", counted_relocate)
+        cfg = SinkerConfig(shape=(4, 4, 4), n_spheres=2, radius=0.15,
+                           delta_eta=1e2)
+        sim = make_sinker(cfg, SimulationConfig(
+            stokes=StokesConfig(mg_levels=2, coarse_solver="lu"),
+            free_surface=True,
+        ))
+        before = sim.points.n
+        stats = sim.step()
+        assert dropped[-1] > 0
+        assert stats["points_lost"] >= dropped[-1]
+        assert (before - stats["points_lost"] + stats["points_injected"]
+                == sim.points.n)
+
     def test_marker_eta_matches_analytic_field(self):
         """Marker-projected viscosity approximates the analytic sampling."""
         cfg = SinkerConfig(shape=(4, 4, 4), n_spheres=2, radius=0.2,

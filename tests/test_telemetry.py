@@ -1,6 +1,7 @@
 """Run telemetry: metric time-series, run manifest, flight recorder,
 progress line, machine resolution, and the cross-run compare gate."""
 
+import contextlib
 import copy
 import json
 import os
@@ -18,6 +19,7 @@ from repro.obs import compare as obs_compare
 from repro.obs import flight, metrics
 from repro.perf import LAPTOP, MACHINES, MachineModel, resolve_machine
 from repro.stokes.solve import StokesConfig
+from tests.conftest import parallel_engine
 
 QUAD = GaussQuadrature.hex(3)
 
@@ -505,8 +507,9 @@ class TestCompareCLI:
 
 
 # --------------------------------------------------------------------- #
-# telemetry under parallelism (ISSUE satellite: bit-identical export
-# round-trip with REPRO_WORKERS=2 on both backends, executor stats in)
+# telemetry under parallelism: bit-identical export round-trip with
+# REPRO_WORKERS=2 (worker threads) and with 2 procomm rank processes,
+# executor stats in
 # --------------------------------------------------------------------- #
 class TestTelemetryUnderParallelism:
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -517,16 +520,19 @@ class TestTelemetryUnderParallelism:
         mesh = StructuredMesh((3, 3, 4), order=2)
         eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, QUAD.npoints)))
         obs.enable()
-        op = make_operator("tensor", mesh, eta, quad=QUAD,
-                           parallel_backend=backend)  # workers from env
-        try:
-            with obs.stage("TimeStep"):
-                y = op.apply(rng.standard_normal(3 * mesh.nnodes))
-            assert np.isfinite(y).all()
-            metrics.commit_step(0)
-            doc = obs.validate(obs.snapshot())
-        finally:
-            op.executor.shutdown()
+        ranks = (parallel_engine("process", 2) if backend == "process"
+                 else contextlib.nullcontext())  # threads: workers from env
+        with ranks as engine:
+            op = make_operator("tensor", mesh, eta, quad=QUAD,
+                               executor=engine)
+            try:
+                with obs.stage("TimeStep"):
+                    y = op.apply(rng.standard_normal(3 * mesh.nnodes))
+                assert np.isfinite(y).all()
+                metrics.commit_step(0)
+                doc = obs.validate(obs.snapshot())
+            finally:
+                op.executor.shutdown()
 
         # ExecutorStats aggregated into the document
         ex = doc["metrics"]["executors"]
@@ -554,7 +560,7 @@ class TestTelemetryUnderParallelism:
         from repro.parallel import ParallelExecutor
 
         before = metrics.total_workers()
-        ex = ParallelExecutor(workers=2, backend="thread")
+        ex = ParallelExecutor(workers=2)
         assert metrics.total_workers() == before + 2
         ex.shutdown()
         del ex

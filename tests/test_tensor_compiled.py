@@ -4,6 +4,8 @@ Mirrors the ``tests/test_parallel_executor.py`` style: every parallel
 claim is ``rtol=0`` (bitwise) because the executor reduces span partials
 in task order and the C kernel accumulates elements strictly in index
 order; cross-backend claims (different arithmetic) use tight ``allclose``.
+``backend="process"`` runs the parallel checks on the rank processes of
+:mod:`repro.parallel.procomm`.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.matfree.tensor_c import (
     PACKED_VALUES, build_packed_coefficients, unpack_sym,
 )
 from repro.matfree.tensor_compiled import default_block_elements
+from tests.conftest import parallel_engine
 
 QUAD = GaussQuadrature.hex(3)
 BACKENDS = ["thread", "process"]
@@ -103,35 +106,29 @@ class TestEquivalence:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_matches_serial_exactly(self, backend, workers):
         mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor_compiled", mesh, eta, quad=QUAD, workers=workers,
-            parallel_backend=backend,
-        )
-        assert np.array_equal(op.apply(u), op.apply_serial(u))
-        op.executor.shutdown()
+        with parallel_engine(backend, workers) as ex:
+            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD,
+                               executor=ex)
+            assert np.array_equal(op.apply(u), op.apply_serial(u))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mid_run_eta_update_parallel(self, backend):
         """In-place viscosity mutation between applies: coefficients must
-        rebuild and workers re-snapshot (the headline bugfix) for the
-        compiled backend too."""
+        rebuild and rank processes re-snapshot (the headline bugfix) for
+        the compiled backend too."""
         mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor_compiled", mesh, eta.copy(), quad=QUAD, workers=2,
-            parallel_backend=backend,
-        )
-        op.apply(u)
-        op.eta_q *= 3.0
-        y_par = op.apply(u)
-        assert np.array_equal(y_par, op.apply_serial(u))
-        # same span structure (workers=2) so the reference is bit-comparable
-        ref_op = make_operator(
-            "tensor_compiled", mesh, eta * 3.0, quad=QUAD, workers=2,
-            parallel_backend=backend,
-        )
-        assert np.array_equal(y_par, ref_op.apply_serial(u))
-        ref_op.executor.shutdown()
-        op.executor.shutdown()
+        with parallel_engine(backend, 2) as ex:
+            op = make_operator("tensor_compiled", mesh, eta.copy(),
+                               quad=QUAD, executor=ex)
+            op.apply(u)
+            op.eta_q *= 3.0
+            y_par = op.apply(u)
+            assert np.array_equal(y_par, op.apply_serial(u))
+            # same span structure (2 workers) so the reference is
+            # bit-comparable
+            ref_op = make_operator("tensor_compiled", mesh, eta * 3.0,
+                                   quad=QUAD, executor=ex)
+            assert np.array_equal(y_par, ref_op.apply_serial(u))
 
     def test_mesh_deform_rebuilds(self):
         mesh, eta, u = small_setup()

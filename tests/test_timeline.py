@@ -19,7 +19,6 @@ from repro.stokes.solve import StokesConfig
 def clean_obs(monkeypatch):
     monkeypatch.delenv("REPRO_TIMELINE", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
     obs.disable()
     obs.reset()
     tl.disarm()
@@ -332,7 +331,7 @@ class TestAnalysis:
 
 
 # --------------------------------------------------------------------- #
-# executor integration: merged per-worker spans, both backends
+# executor integration: merged per-worker spans of the worker threads
 # --------------------------------------------------------------------- #
 class _SumState:
     def apply(self, u, s, e):
@@ -341,12 +340,14 @@ class _SumState:
         return out
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+# the executor's workers are threads; rank processes (procomm) record no
+# task spans
+@pytest.mark.parametrize("backend", ["thread"])
 class TestExecutorSpans:
     def test_task_spans_carry_distinct_ranks(self, backend):
         t = tl.arm()
         obs.enable()
-        ex = ParallelExecutor(workers=2, backend=backend)
+        ex = ParallelExecutor(workers=2)
         u = np.arange(8, dtype=float)
         spans = [(0, 4), (4, 8)]
         try:
@@ -369,11 +370,10 @@ class TestExecutorSpans:
 
     def test_env_workers_two(self, backend, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", backend)
         t = tl.arm()
         obs.enable()
         ex = ParallelExecutor()
-        assert ex.workers == 2 and ex.backend == backend
+        assert ex.workers == 2
         try:
             ex.dispatch(_SumState(), "apply", [(0, 4), (4, 8)],
                         np.arange(8, dtype=float), out_len=4)
@@ -384,7 +384,7 @@ class TestExecutorSpans:
 
     def test_disarmed_dispatch_unchanged(self, backend):
         obs.enable()
-        ex = ParallelExecutor(workers=2, backend=backend)
+        ex = ParallelExecutor(workers=2)
         u = np.arange(8, dtype=float)
         try:
             r = ex.dispatch(_SumState(), "apply", [(0, 4), (4, 8)], u,
@@ -397,33 +397,10 @@ class TestExecutorSpans:
         assert tl.armed() is None
 
 
-class TestProcessSpanSpool:
-    def test_remote_task_capture_rebases_to_master_origin(self):
-        t = tl.arm()
-        obs.enable()
-        result, spans = tl.remote_task_capture(
-            lambda: 42, "apply", 1, 3, t.origin)
-        assert result == 42
-        task = spans[-1]
-        assert task[0] == "ParExecTask:apply" and task[1] == "task"
-        assert task[5] == 1 and task[10] == 3
-        assert 0 <= task[3] <= task[4]
-        t.ingest(spans)
-        assert t.task_busy[1] == pytest.approx(task[4] - task[3])
-        (merged,) = [s for s in t.spans() if s["cat"] == "task"]
-        assert merged["rank"] == 1
-
-    def test_capture_without_armed_timeline_still_ships_task_span(self):
-        result, spans = tl.remote_task_capture(
-            lambda: "ok", "apply", 0, 0, 0.0)
-        assert result == "ok"
-        assert len(spans) == 1 and spans[0][1] == "task"
-
-
 # --------------------------------------------------------------------- #
 # simulation-level: bit-identical results + merged timeline, 2 workers
 # --------------------------------------------------------------------- #
-def _run_sinker(backend, arm_timeline=False):
+def _run_sinker(workers, arm_timeline=False):
     from repro.sim.sinker import SinkerConfig, make_sinker
 
     obs.reset()
@@ -434,7 +411,7 @@ def _run_sinker(backend, arm_timeline=False):
         SinkerConfig(shape=(4, 4, 4)),
         SimulationConfig(
             stokes=StokesConfig(mg_levels=2, coarse_solver="lu",
-                                workers=2, parallel_backend=backend),
+                                workers=workers),
         ),
     )
     sim.run(2)
@@ -445,12 +422,17 @@ def _run_sinker(backend, arm_timeline=False):
     return u, p, doc
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_sinker_two_workers_bit_identical_with_timeline(backend):
-    # the serial reference runs the identical two-slab task structure
-    # inline (the executor determinism contract), so equality is bitwise
-    u1, p1, _ = _run_sinker(backend="serial")
-    u2, p2, doc = _run_sinker(backend=backend, arm_timeline=True)
+    # the reference evaluates the identical two-slab task structure inline
+    # (the executor determinism contract), so equality is bitwise
+    def inline(self, state, method, spans, u, mode):
+        return ParallelExecutor.run_serial(state, method, spans, u, mode=mode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ParallelExecutor, "_dispatch_threads", inline)
+        u1, p1, _ = _run_sinker(workers=2)
+    u2, p2, doc = _run_sinker(workers=2, arm_timeline=True)
     assert np.array_equal(u1, u2)
     assert np.array_equal(p1, p2)
     sec = doc["timeline"]
