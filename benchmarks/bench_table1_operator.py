@@ -13,9 +13,13 @@ Tensor-C / compiled Tensor-C):
 
 The scaling section runs the compiled backend against assembled SpMV at
 16^3 (and 32^3 with ``$REPRO_BENCH_LARGE=1``) -- sizes the einsum kernels
-could not reach -- and gauges the matrix-free/assembled GF/s ratio the
-paper's Table I headlines (~10x at scale).  The ratio is recorded into the
-BENCH JSON (``table1.*`` gauges) so ``repro.obs.compare`` can gate on it.
+could not reach.  It records, per kind and size, the wall time of one
+apply (``table1.ms_per_apply_<kind>_<n>``), the assembled/matrix-free
+time ratio (``table1.time_ratio_asmb_over_<kind>_<n>``, >1 means the
+matrix-free apply is faster) and, as a diagnostic, the GF/s and GF/s
+ratio gauges, all into the BENCH JSON (``table1.*``) for
+``repro.obs.compare``.  GF/s ratios flatter kernels that do more flops;
+the paper's claim is about time, so the acceptance check is on time.
 """
 
 import os
@@ -121,9 +125,8 @@ def test_print_table1(benchmark, setting):
 
 
 def test_scaling_ratio(benchmark, setting):
-    """16^3(-32^3) sweep: the compiled kernel must widen the matrix-free /
-    assembled GF/s ratio beyond what the 8^3 einsum backend achieves --
-    the acceptance trend toward the paper's ~10x."""
+    """16^3(-32^3) sweep: one serial compiled apply must take less wall
+    time than the assembled SpMV at 16^3 (the paper's Table I claim)."""
     once(benchmark, lambda: None)
 
     mesh8, u8, ops8 = setting
@@ -132,8 +135,8 @@ def test_scaling_ratio(benchmark, setting):
     ratio_einsum_8 = gf_einsum8 / gf_asmb8
     obs.metrics.gauge("table1.ratio_mf_asmb_einsum_8", ratio_einsum_8)
 
-    rows = [["8^3 (einsum tensor_c)", mesh8.nel, fmt(gf_einsum8),
-             fmt(gf_asmb8), fmt(ratio_einsum_8)]]
+    rows = [["8^3 (einsum tensor_c)", mesh8.nel, "", "", "",
+             fmt(gf_einsum8), fmt(gf_asmb8), fmt(ratio_einsum_8)]]
     ratios = {}
     rng = np.random.default_rng(1)
     for n, kinds in LARGE:
@@ -141,35 +144,40 @@ def test_scaling_ratio(benchmark, setting):
         quad = GaussQuadrature.hex(3)
         eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
         u = rng.standard_normal(3 * mesh.nnodes)
-        gf = {}
+        secs, gf = {}, {}
         for kind in kinds:
             op = make_operator(kind, mesh, eta, quad=quad)
-            _, gf[kind] = _measured_gflops(op, u, mesh.nel, kind)
+            secs[kind], gf[kind] = _measured_gflops(op, u, mesh.nel, kind)
+            obs.metrics.gauge(f"table1.ms_per_apply_{kind}_{n}", secs[kind] * 1e3)
             del op
         for kind in kinds:
             if kind == "asmb":
                 continue
             ratio = gf[kind] / gf["asmb"]
-            ratios[(n, kind)] = ratio
+            time_ratio = secs["asmb"] / secs[kind]
+            ratios[(n, kind)] = time_ratio
             obs.metrics.gauge(f"table1.ratio_mf_asmb_{kind}_{n}", ratio)
+            obs.metrics.gauge(f"table1.time_ratio_asmb_over_{kind}_{n}", time_ratio)
             obs.metrics.gauge(f"table1.gflops_{kind}_{n}", gf[kind])
-            rows.append([f"{n}^3 ({kind})", mesh.nel, fmt(gf[kind]),
-                         fmt(gf["asmb"]), fmt(ratio)])
+            rows.append([f"{n}^3 ({kind})", mesh.nel, fmt(secs[kind] * 1e3),
+                         fmt(secs["asmb"] * 1e3), fmt(time_ratio),
+                         fmt(gf[kind]), fmt(gf["asmb"]), fmt(ratio)])
         obs.metrics.gauge(f"table1.gflops_asmb_{n}", gf["asmb"])
     # one committed sample so the gauges land in the BENCH JSON series
     obs.metrics.commit_step(0)
     print_table(
-        "Matrix-free vs assembled GF/s (implementation counts)",
-        ["setting", "nel", "mf GF/s", "asmb GF/s", "mf/asmb"],
+        "Matrix-free vs assembled: time per apply, GF/s (implementation counts)",
+        ["setting", "nel", "mf ms", "asmb ms", "asmb/mf time",
+         "mf GF/s", "asmb GF/s", "mf/asmb GF/s"],
         rows,
     )
     benchmark.extra_info.update(
         ratio_einsum_8=ratio_einsum_8,
-        **{f"ratio_{k}_{n}": r for (n, k), r in ratios.items()},
+        **{f"time_ratio_asmb_over_{k}_{n}": r for (n, k), r in ratios.items()},
     )
-    # acceptance: the compiled backend at 16^3 beats the einsum backend's
-    # ratio at 8^3 (toolchain-less fallback runs the same NumPy path, so
-    # only gate when the kernel actually compiled)
+    # acceptance: one serial compiled apply at 16^3 is faster than the
+    # assembled SpMV (the toolchain-less fallback runs the NumPy packed
+    # path, so only gate when the kernel actually compiled)
     probe = make_operator("tensor_compiled", mesh8, np.ones((mesh8.nel, 27)))
     if probe.compiled:
-        assert ratios[(16, "tensor_compiled")] > ratio_einsum_8
+        assert ratios[(16, "tensor_compiled")] > 1.0

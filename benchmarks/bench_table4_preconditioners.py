@@ -3,8 +3,9 @@
 Reproduces the preconditioner shoot-out of SS IV-C on the multi-sinker
 problem.  Configurations (names as in the paper):
 
-* ``GMG-mf``   -- our default: tensor matrix-free fine level, rediscretized
-  assembled level, Galerkin coarsest, SA coarse solve;
+* ``GMG-mf``   -- our default: compiled Tensor-C matrix-free fine level
+  (``tensor_compiled``), rediscretized assembled level, Galerkin
+  coarsest, SA coarse solve;
 * ``GMG-i``    -- identical but the finest level is an assembled matrix;
 * ``GMG-ii``   -- assembled fine level with *Galerkin* coarse operators on
   all levels (lowest iterations, highest setup cost in the paper);
@@ -65,7 +66,7 @@ def build_configuration(name, pb):
         meshes = mesh.hierarchy(3)[::-1]
         etas = coefficient_hierarchy(meshes, pb.eta_q, QUAD)
         cfg = {
-            "GMG-mf": GMGConfig(levels=3, fine_operator="tensor",
+            "GMG-mf": GMGConfig(levels=3, fine_operator="tensor_compiled",
                                 galerkin=True, coarse_solver="sa"),
             "GMG-i": GMGConfig(levels=3, fine_operator="asmb",
                                galerkin=False, coarse_solver="sa"),

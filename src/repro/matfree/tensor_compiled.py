@@ -8,6 +8,10 @@ arXiv 2509.19061), this backend lowers the packed-coefficient apply of
 :class:`~repro.matfree.tensor_c.TensorCOperator` to a single C loop
 (:mod:`repro.matfree._ckernel`):
 
+* the reference gradient and its adjoint are sum-factorized (Eq. 19):
+  eight 3x3 one-dimensional contractions with ``B_hat``/``D_hat`` per
+  sweep instead of the dense 27x27 Kronecker factors, 11,907 flops per
+  element against 30,375 for the NumPy packed apply;
 * per-element scratch lives on the C stack -- the per-chunk ``C``/``g``/
   ``t`` temporaries disappear entirely;
 * elements are processed in L2-sized blocks (:attr:`block` elements,
@@ -22,9 +26,10 @@ arXiv 2509.19061), this backend lowers the packed-coefficient apply of
   scale it across element slabs with the same task-ordered, bit-exact
   reduction as every other kernel.
 
+This is the default fine-level kind of ``StokesConfig``/``GMGConfig``.
 When no C toolchain is available (or ``$REPRO_NO_CKERNEL`` is set) the
 operator transparently degrades to the inherited NumPy packed apply --
-same results, same contracts, slower.
+same results to rounding, same contracts, slower.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ class TensorCompiledOperator(TensorCOperator):
         self._conn64 = np.ascontiguousarray(
             self.mesh.connectivity, dtype=np.int64
         )
-        self._DK_c = np.ascontiguousarray(self._DK)
+        self._B_c = np.ascontiguousarray(self.B_hat, dtype=np.float64)
+        self._D_c = np.ascontiguousarray(self.D_hat, dtype=np.float64)
 
     @property
     def compiled(self) -> bool:
@@ -91,7 +97,8 @@ class TensorCompiledOperator(TensorCOperator):
         if not C.flags.c_contiguous:  # pragma: no cover - built contiguous
             C = self._C = np.ascontiguousarray(C)
         self._lib.tc_apply(
-            C.ctypes.data, self._conn64.ctypes.data, self._DK_c.ctypes.data,
+            C.ctypes.data, self._conn64.ctypes.data,
+            self._B_c.ctypes.data, self._D_c.ctypes.data,
             u.ctypes.data, y.ctypes.data,
             int(s0), int(e0), int(self.block),
         )

@@ -47,6 +47,9 @@ class MGLevel:
         fused residual equals the explicit one only up to rounding, so this
         is opt-in; levels whose smoother lacks ``smooth_with_residual``
         silently fall back to the explicit computation.
+    operator:
+        The viscous operator object behind ``apply`` (set on the GMG fine
+        level, so a solve can reuse it for its coupled matvec), or ``None``.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -56,6 +59,7 @@ class MGLevel:
     coarse_solve: Callable[[np.ndarray], np.ndarray] | None = None
     executor: object | None = None
     fused_residual: bool = False
+    operator: object | None = None
     # diagnostics
     ndof: int = 0
     label: str = ""

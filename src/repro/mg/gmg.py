@@ -48,7 +48,10 @@ class GMGConfig:
     fine_operator:
         One of ``asmb | mf | tensor | tensor_c | tensor_compiled`` -- the
         Table I kernel used on the finest level (smoother + residual
-        evaluations).
+        evaluations).  The default ``tensor_compiled`` is the
+        sum-factorized compiled Tensor-C apply (NumPy packed path when no
+        C toolchain is present).  The level keeps the operator object as
+        ``MGLevel.operator``.
     fused_residual:
         Take pre-smoothing residuals from the Chebyshev recurrence instead
         of an explicit ``b - A x`` (one operator apply saved per level per
@@ -78,7 +81,7 @@ class GMGConfig:
     """
 
     levels: int = 3
-    fine_operator: str = "tensor"
+    fine_operator: str = "tensor_compiled"
     fused_residual: bool = False
     galerkin: bool = True
     galerkin_from_fine: bool = False
@@ -221,6 +224,7 @@ def build_gmg(
             label=f"gmg-fine[{cfg.fine_operator}]",
             executor=executor,
             fused_residual=cfg.fused_residual,
+            operator=op,
         )
     )
     stats.level_ndofs.append(3 * meshes[0].nnodes)

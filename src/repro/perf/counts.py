@@ -21,12 +21,13 @@ Two tables live here, and the distinction is the point:
       ``[S (sym, 6), K (9), w eta (1)]``, exact for the isotropic Picard
       operator (see :mod:`repro.matfree.tensor_c`);
     * **flops** -- our apply evaluates the two-term contraction
-      ``t = g S + w (K g K)^T`` (153 flops/point) between the factored
-      reference-gradient forward/adjoint sweeps (13122 flops each), not
-      the paper's fully-precomputed 81-entry contraction.
-
-    ``tensor_compiled`` executes the identical arithmetic in C, so it
-    shares the ``tensor_c`` row.
+      ``t = g S + w (K g K)^T`` (153 flops/point) between the
+      reference-gradient forward/adjoint sweeps, not the paper's
+      fully-precomputed 81-entry contraction.  The NumPy ``tensor_c``
+      sweeps are GEMMs against the dense Kronecker factors (13122 flops
+      each); the C ``tensor_compiled`` kernel sum-factorizes them into
+      eight 3x3 one-dimensional contractions (3888 flops each), so its
+      row is 11907 flops against ``tensor_c``'s 30375 with the same bytes.
 
 Paper rows (SS III-D):
 
@@ -142,9 +143,19 @@ _TENSOR_C_IMPL = OperatorCounts(
     bytes_perfect_cache=_TENSOR_C_BYTES_PERFECT,
     bytes_pessimal_cache=_TENSOR_C_BYTES_PESSIMAL,
 )
+# -- compiled Tensor-C: sum-factorized sweeps (repro.matfree._ckernel) ----- #
+# one 1D contraction: 27 outputs x 3 comps x 3 terms x 2 flops = 486
+_CONTRACTION_FLOPS = 27 * 3 * 3 * 2
+# forward: z pass (B, D) 2 + y pass (B.B, D.B, B.D) 3 + x pass (one per
+# direction) 3; the adjoint runs the transposed passes x 3, y 3, z 2
+_SF_GRAD_FLOPS = (2 + 3 + 3) * _CONTRACTION_FLOPS
+assert _SF_GRAD_FLOPS == 3888, _SF_GRAD_FLOPS
+_TENSOR_COMPILED_FLOPS = 2 * _SF_GRAD_FLOPS + 27 * _POINT_FLOPS
+assert _TENSOR_COMPILED_FLOPS == 11907, _TENSOR_COMPILED_FLOPS
+
 _TENSOR_COMPILED = OperatorCounts(
     name="tensor_compiled",
-    flops=_TENSOR_C_FLOPS,
+    flops=_TENSOR_COMPILED_FLOPS,
     bytes_perfect_cache=_TENSOR_C_BYTES_PERFECT,
     bytes_pessimal_cache=_TENSOR_C_BYTES_PESSIMAL,
 )

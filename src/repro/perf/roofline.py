@@ -5,9 +5,12 @@ An operator apply over ``nel`` elements on ``cores`` cores takes
     t = nel/cores * max( flops_el / (f * peak_core),
                          bytes_el / (bandwidth_core) )
 
--- compute-limited for the matrix-free kernels (intensity 22-53 f/B) and
-bandwidth-limited for assembled SpMV, which is the entire point of
-SS III-D.  The solve-level model composes per-iteration costs (smoother
+-- compute-limited for the matrix-free kernels and bandwidth-limited for
+assembled SpMV (0.25 f/B), which is the entire point of SS III-D.  With
+perfect caching the einsum kernels sit at 15-53 f/B; the compiled
+Tensor-C (11907 flops over its 4056-byte packed stream, ~2.9 f/B) does the
+fewest flops of all and still sits above Edison's modeled machine balance
+(~1.6 f/B), so its modeled time is its flop time.  The solve-level model composes per-iteration costs (smoother
 applies + residuals + transfers) with halo-exchange and reduction latency
 terms, producing the modeled columns of Tables II and III.
 """

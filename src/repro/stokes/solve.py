@@ -30,9 +30,16 @@ from .scr import solve_scr
 
 @dataclass
 class StokesConfig:
-    """Configuration of the linear Stokes solve."""
+    """Configuration of the linear Stokes solve.
 
-    operator: str = "tensor"  # Table I kernel for the fine viscous block
+    ``operator`` is the Table I kernel of the fine viscous block, used by
+    both the coupled matvec and the GMG fine level (one instance per
+    solve).  The default ``"tensor_compiled"`` is the sum-factorized
+    Tensor-C apply in C; without a C toolchain it runs the NumPy packed
+    path and reports why through ``fallback_reason``.
+    """
+
+    operator: str = "tensor_compiled"
     mg_levels: int = 3
     smoother_degree: int = 2  # V(2,2)
     coarse_solver: str = "sa"
@@ -151,6 +158,26 @@ def solve_stokes(
 
     t0 = time.perf_counter()
     with _obs.stage("StokesSetup"):
+        if cfg.velocity_pc == "gmg":
+            meshes = mesh.hierarchy(cfg.mg_levels)[::-1]
+            if eta_levels is None:
+                eta_levels = coefficient_hierarchy(
+                    meshes, problem.eta_q, problem.quad
+                )
+            with _obs.timed("PCSetUp_gmg"):
+                vel_pc, mg_stats = build_gmg(
+                    meshes, eta_levels, problem.bc_builder, cfg.gmg_config()
+                )
+            # the GMG fine level is the same kernel on the same mesh and
+            # viscosity: the coupled matvec reuses it (one coefficient pack,
+            # one worker pool) unless a Newton operator replaces it
+            fine = vel_pc.levels[0].operator
+            if (velocity_operator is None and fine is not None
+                    and problem.quad.npoints_1d == 3
+                    and np.array_equal(eta_levels[0], problem.eta_q)):
+                velocity_operator = fine
+        elif cfg.velocity_pc != "jacobi":
+            raise ValueError(f"unknown velocity_pc {cfg.velocity_pc!r}")
         op = StokesOperator(
             problem, kind=cfg.operator, velocity_operator=velocity_operator,
             divergence=divergence, workers=cfg.workers,
@@ -166,18 +193,6 @@ def solve_stokes(
                 dinv = 1.0 / d
             vel_pc = lambda ru: dinv * ru  # noqa: E731
             mg_stats = None
-        elif cfg.velocity_pc == "gmg":
-            meshes = mesh.hierarchy(cfg.mg_levels)[::-1]
-            if eta_levels is None:
-                eta_levels = coefficient_hierarchy(
-                    meshes, problem.eta_q, problem.quad
-                )
-            with _obs.timed("PCSetUp_gmg"):
-                vel_pc, mg_stats = build_gmg(
-                    meshes, eta_levels, problem.bc_builder, cfg.gmg_config()
-                )
-        else:
-            raise ValueError(f"unknown velocity_pc {cfg.velocity_pc!r}")
         with _obs.timed("PCSetUp_fieldsplit"):
             pc = FieldSplitPreconditioner(op, vel_pc)
     setup_s = time.perf_counter() - t0

@@ -221,3 +221,69 @@ class TestSolverPlumbing:
                      monitor=mon)
         assert len(mon.total) >= 2
         assert not np.isnan(mon.pressure).any()
+
+
+class TestDefaultKernel:
+    """``StokesConfig()`` runs the compiled Tensor-C apply, built once per
+    solve and shared by the coupled matvec and the GMG fine level."""
+
+    @staticmethod
+    def _problem():
+        mesh = StructuredMesh((4, 4, 4), order=2)
+        blob = lambda x: np.linalg.norm(x - 0.5, axis=-1) < 0.3
+        eta = eta_at_quadrature(mesh, lambda x: np.where(blob(x), 10.0, 1.0), QUAD)
+        rho = eta_at_quadrature(mesh, lambda x: np.where(blob(x), 1.2, 1.0), QUAD)
+        return StokesProblem(mesh, eta, rho, bc_builder=free_slip_bc)
+
+    def test_default_solve_runs_one_compiled_operator(self):
+        from repro.matfree import TensorCompiledOperator, _ckernel
+
+        sol = solve_stokes(self._problem())
+        assert sol.converged
+        A = sol.extra["operator"].A_op
+        assert isinstance(A, TensorCompiledOperator)
+        assert A.compiled == _ckernel.available()
+        fine = sol.extra["preconditioner"].velocity_pc.levels[0]
+        assert fine.label == "gmg-fine[tensor_compiled]"
+        assert fine.operator is A
+
+    def test_numpy_fallback_converges_in_the_same_iterations(self, monkeypatch):
+        from repro.matfree import _ckernel
+
+        pb = self._problem()
+        ref = solve_stokes(pb)
+        monkeypatch.setenv(_ckernel.ENV_DISABLE, "1")
+        _ckernel._reset_for_tests()
+        try:
+            sol = solve_stokes(pb)
+            A = sol.extra["operator"].A_op
+            assert not A.compiled
+            assert _ckernel.ENV_DISABLE in A.fallback_reason
+            assert sol.converged
+            assert sol.iterations == ref.iterations
+        finally:
+            _ckernel._reset_for_tests()
+
+    def test_velocity_operator_keeps_its_own_fine_level(self):
+        """A replacement matvec operator (the Newton slot) must not leak
+        into the preconditioner: GMG keeps its own Picard fine level."""
+        from repro.matfree import make_operator
+
+        pb = self._problem()
+        vel = make_operator("tensor", pb.mesh, pb.eta_q, quad=QUAD)
+        sol = solve_stokes(pb, velocity_operator=vel)
+        assert sol.converged
+        assert sol.extra["operator"].A_op is vel
+        fine = sol.extra["preconditioner"].velocity_pc.levels[0]
+        assert fine.operator is not vel
+
+    def test_other_fine_viscosity_is_not_shared(self):
+        from repro.mg.coefficients import coefficient_hierarchy
+
+        pb = self._problem()
+        meshes = pb.mesh.hierarchy(3)[::-1]
+        etas = coefficient_hierarchy(meshes, 2.0 * pb.eta_q, QUAD)
+        sol = solve_stokes(pb, eta_levels=etas)
+        fine = sol.extra["preconditioner"].velocity_pc.levels[0]
+        assert fine.operator is not sol.extra["operator"].A_op
+        assert np.array_equal(sol.extra["operator"].A_op.eta_q, pb.eta_q)
