@@ -1,7 +1,7 @@
 """Shared-memory executor: serial vs parallel operator throughput.
 
-Benchmarks the tensor-product viscous apply (the paper's fastest kernel,
-hence the hardest to speed up further) through the
+Benchmarks the Tensor-C viscous apply (the kernel the default solve runs,
+compiled when a C toolchain is present) through the
 :mod:`repro.parallel.executor` engine, serial against worker-thread
 dispatch, and attaches a ``parallel_speedup`` monitor so
 the exported ``BENCH_parallel.json`` (schema ``repro.obs/1``) carries the
@@ -21,16 +21,11 @@ import pytest
 from repro import obs
 from repro.fem import GaussQuadrature, StructuredMesh
 from repro.matfree import make_operator
-from repro.perf import OPERATOR_COUNTS
 
 from conftest import print_table, fmt, once
 
 SHAPE = (12, 12, 12)
 WORKERS = max(2, min(4, os.cpu_count() or 1))
-
-
-def _flops_per_apply(mesh) -> float:
-    return OPERATOR_COUNTS["tensor"].flops * mesh.nel
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +35,8 @@ def setting():
     quad = GaussQuadrature.hex(3)
     eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
     u = rng.standard_normal(3 * mesh.nnodes)
-    serial_op = make_operator("tensor", mesh, eta, quad=quad)
-    par_op = make_operator("tensor", mesh, eta, quad=quad, workers=WORKERS)
+    serial_op = make_operator("tensor_c", mesh, eta, quad=quad)
+    par_op = make_operator("tensor_c", mesh, eta, quad=quad, workers=WORKERS)
     yield mesh, u, serial_op, par_op
     par_op.executor.shutdown()
 
@@ -79,12 +74,13 @@ def test_summary_table(benchmark, setting):
     """Serial-vs-parallel GF/s table, attached to the exported JSON."""
     mesh, u, serial_op, par_op = setting
     once(benchmark, lambda: None)
-    flops = _flops_per_apply(mesh)
+    flops = serial_op.counts.flops * mesh.nel
     t_serial = _time_apply(serial_op, u)
     summary = {
         "nel": mesh.nel,
         "workers": WORKERS,
         "cpu_count": os.cpu_count(),
+        "compiled": serial_op.compiled,
         "flops_per_apply": flops,
         "serial_seconds": t_serial,
         "serial_gflops": flops / t_serial / 1e9,
@@ -97,7 +93,7 @@ def test_summary_table(benchmark, setting):
             ["thread", WORKERS, fmt(t_par), fmt(flops / t_par / 1e9)]]
     obs.attach_monitor("parallel_speedup", summary)
     print_table(
-        f"tensor apply, {mesh.nel} elements",
+        f"tensor_c apply, {mesh.nel} elements",
         ["backend", "workers", "seconds", "GF/s"],
         rows,
     )

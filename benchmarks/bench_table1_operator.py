@@ -1,7 +1,7 @@
-"""Table I: cost of applying the Q2 viscous operator, five ways.
+"""Table I: cost of applying the Q2 viscous operator, four ways.
 
 Regenerates, per operator kind (Assembled / Matrix-free / Tensor /
-Tensor-C / compiled Tensor-C):
+Tensor-C):
 
 * the paper's exact per-element flop and byte counts (analytic,
   SS III-D -- asserted, not just printed);
@@ -11,14 +11,15 @@ Tensor-C / compiled Tensor-C):
   ordering must reproduce the paper's: tensor < mf on flops, and the
   assembled SpMV throughput bound by memory bandwidth.
 
-The scaling section runs the compiled backend against assembled SpMV at
-16^3 (and 32^3 with ``$REPRO_BENCH_LARGE=1``) -- sizes the einsum kernels
+The scaling section runs Tensor-C (its compiled kernel when a C
+toolchain is present) against assembled SpMV at 16^3 (and 32^3 with ``$REPRO_BENCH_LARGE=1``) -- sizes the einsum kernels
 could not reach.  It records, per kind and size, the wall time of one
 apply (``table1.ms_per_apply_<kind>_<n>``), the assembled/matrix-free
 time ratio (``table1.time_ratio_asmb_over_<kind>_<n>``, >1 means the
 matrix-free apply is faster) and, as a diagnostic, the GF/s and GF/s
 ratio gauges, all into the BENCH JSON (``table1.*``) for
-``repro.obs.compare``.  GF/s ratios flatter kernels that do more flops;
+``repro.obs.compare``.  Flops are those of the path each operator runs
+(``op.counts``).  GF/s ratios flatter kernels that do more flops;
 the paper's claim is about time, so the acceptance check is on time.
 """
 
@@ -31,31 +32,28 @@ import pytest
 from repro import obs
 from repro.fem import GaussQuadrature, StructuredMesh
 from repro.matfree import make_operator
-from repro.perf import OPERATOR_COUNTS, table1_model
+from repro.perf import table1_model
 
 from conftest import print_table, fmt, once
 
 SHAPE = (8, 8, 8)
-KINDS = ["asmb", "mf", "tensor", "tensor_c", "tensor_compiled"]
+KINDS = ["asmb", "mf", "tensor", "tensor_c"]
 
 #: large-size sweep: einsum kernels are excluded (the per-chunk temporaries
 #: are exactly what caps them at 8^3); 32^3 is opt-in for timed CI legs
-LARGE = [(16, ["asmb", "tensor_c", "tensor_compiled"])]
+LARGE = [(16, ["asmb", "tensor_c"])]
 if os.environ.get("REPRO_BENCH_LARGE"):
-    LARGE.append((32, ["asmb", "tensor_compiled"]))
-
-#: paper-model column for kinds without their own Table I row
-_MODEL_ALIAS = {"tensor_compiled": "tensor_c"}
+    LARGE.append((32, ["asmb", "tensor_c"]))
 
 
-def _measured_gflops(op, u, nel, kind, reps=3) -> tuple[float, float]:
+def _measured_gflops(op, u, nel, reps=3) -> tuple[float, float]:
     """(seconds, implementation-GF/s) of one apply, best-of-``reps``."""
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
         op.apply(u)
         best = min(best, time.perf_counter() - t0)
-    return best, OPERATOR_COUNTS[kind].flops * nel / best / 1e9
+    return best, op.counts.flops * nel / best / 1e9
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +73,7 @@ def test_operator_apply(benchmark, setting, kind):
     op = ops[kind]
     y = benchmark(op.apply, u)
     assert np.isfinite(y).all()
-    c = OPERATOR_COUNTS[kind]
+    c = op.counts
     benchmark.extra_info.update(
         flops_per_element=c.flops,
         bytes_perfect=c.bytes_perfect_cache,
@@ -83,10 +81,9 @@ def test_operator_apply(benchmark, setting, kind):
         intensity_flops_per_byte=round(c.intensity_perfect, 2),
         nel=mesh.nel,
     )
-    if kind == "tensor_compiled":
+    if kind == "tensor_c":
         benchmark.extra_info.update(
             compiled=op.compiled, fallback_reason=op.fallback_reason,
-            block_elements=op.block,
         )
 
 
@@ -98,11 +95,11 @@ def test_print_table1(benchmark, setting):
     rows = []
     measured = {}
     for kind in KINDS:
-        measured[kind], _ = _measured_gflops(ops[kind], u, mesh.nel, kind)
+        measured[kind], _ = _measured_gflops(ops[kind], u, mesh.nel)
     model = {r["operator"]: r for r in table1_model()}
     for kind in KINDS:
-        c = OPERATOR_COUNTS[kind]
-        m = model[_MODEL_ALIAS.get(kind, kind)]
+        c = ops[kind].counts
+        m = model[kind]
         rows.append([
             kind,
             c.flops,
@@ -130,12 +127,12 @@ def test_scaling_ratio(benchmark, setting):
     once(benchmark, lambda: None)
 
     mesh8, u8, ops8 = setting
-    _, gf_asmb8 = _measured_gflops(ops8["asmb"], u8, mesh8.nel, "asmb")
-    _, gf_einsum8 = _measured_gflops(ops8["tensor_c"], u8, mesh8.nel, "tensor_c")
+    _, gf_asmb8 = _measured_gflops(ops8["asmb"], u8, mesh8.nel)
+    _, gf_einsum8 = _measured_gflops(ops8["tensor"], u8, mesh8.nel)
     ratio_einsum_8 = gf_einsum8 / gf_asmb8
     obs.metrics.gauge("table1.ratio_mf_asmb_einsum_8", ratio_einsum_8)
 
-    rows = [["8^3 (einsum tensor_c)", mesh8.nel, "", "", "",
+    rows = [["8^3 (einsum tensor)", mesh8.nel, "", "", "",
              fmt(gf_einsum8), fmt(gf_asmb8), fmt(ratio_einsum_8)]]
     ratios = {}
     rng = np.random.default_rng(1)
@@ -147,7 +144,7 @@ def test_scaling_ratio(benchmark, setting):
         secs, gf = {}, {}
         for kind in kinds:
             op = make_operator(kind, mesh, eta, quad=quad)
-            secs[kind], gf[kind] = _measured_gflops(op, u, mesh.nel, kind)
+            secs[kind], gf[kind] = _measured_gflops(op, u, mesh.nel)
             obs.metrics.gauge(f"table1.ms_per_apply_{kind}_{n}", secs[kind] * 1e3)
             del op
         for kind in kinds:
@@ -175,9 +172,8 @@ def test_scaling_ratio(benchmark, setting):
         ratio_einsum_8=ratio_einsum_8,
         **{f"time_ratio_asmb_over_{k}_{n}": r for (n, k), r in ratios.items()},
     )
-    # acceptance: one serial compiled apply at 16^3 is faster than the
-    # assembled SpMV (the toolchain-less fallback runs the NumPy packed
+    # acceptance: one serial compiled Tensor-C apply at 16^3 is faster
+    # than the assembled SpMV (without a toolchain tensor_c runs its NumPy
     # path, so only gate when the kernel actually compiled)
-    probe = make_operator("tensor_compiled", mesh8, np.ones((mesh8.nel, 27)))
-    if probe.compiled:
-        assert ratios[(16, "tensor_compiled")] > 1.0
+    if ops8["tensor_c"].compiled:
+        assert ratios[(16, "tensor_c")] > 1.0

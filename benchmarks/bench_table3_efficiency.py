@@ -25,6 +25,7 @@ from repro.perf import (
     apply_time_per_element,
     efficiency_metrics,
 )
+from repro.perf.roofline import SolveCostModel
 from repro.sim.sinker import SinkerConfig, sinker_stokes_problem
 from repro.stokes import StokesConfig, solve_stokes
 
@@ -97,8 +98,9 @@ def test_table3_stokes_solve(benchmark, solve_rates):
     rows = []
     for kind in KINDS:
         nel, seconds, its = solve_rates[kind]
-        # end-to-end flop accounting: ~6 fine applies per iteration
-        flops = 6 * its * OPERATOR_COUNTS[kind].flops * nel
+        # end-to-end flop accounting: fine applies per V(2,2) iteration
+        applies = SolveCostModel().fine_applies_per_iteration
+        flops = applies * its * OPERATOR_COUNTS[kind].flops * nel
         m = efficiency_metrics(nel, 1, seconds, flops)
         rows.append([kind, its, fmt(seconds),
                      fmt(m["elements_per_core_per_s"]), fmt(m["gflops"])])

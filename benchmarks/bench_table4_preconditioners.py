@@ -4,7 +4,7 @@ Reproduces the preconditioner shoot-out of SS IV-C on the multi-sinker
 problem.  Configurations (names as in the paper):
 
 * ``GMG-mf``   -- our default: compiled Tensor-C matrix-free fine level
-  (``tensor_compiled``), rediscretized assembled level, Galerkin
+  (``tensor_c``), rediscretized assembled level, Galerkin
   coarsest, SA coarse solve;
 * ``GMG-i``    -- identical but the finest level is an assembled matrix;
 * ``GMG-ii``   -- assembled fine level with *Galerkin* coarse operators on
@@ -66,7 +66,7 @@ def build_configuration(name, pb):
         meshes = mesh.hierarchy(3)[::-1]
         etas = coefficient_hierarchy(meshes, pb.eta_q, QUAD)
         cfg = {
-            "GMG-mf": GMGConfig(levels=3, fine_operator="tensor_compiled",
+            "GMG-mf": GMGConfig(levels=3, fine_operator="tensor_c",
                                 galerkin=True, coarse_solver="sa"),
             "GMG-i": GMGConfig(levels=3, fine_operator="asmb",
                                galerkin=False, coarse_solver="sa"),

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from repro import GaussQuadrature, StructuredMesh, make_operator
-from repro.perf import EDISON, OPERATOR_COUNTS, modeled_apply_time
+from repro.perf import EDISON, modeled_apply_time
 
 
 def main(n: int = 10):
@@ -38,7 +38,7 @@ def main(n: int = 10):
         for _ in range(reps):
             op.apply(u)
         dt = (time.perf_counter() - t0) / reps
-        c = OPERATOR_COUNTS[kind]
+        c = op.counts  # the arithmetic of the path this operator runs
         gf = c.flops * mesh.nel / dt / 1e9
         model_ms = modeled_apply_time(kind, 64**3,
                                       8 * EDISON.cores_per_node) * 1e3

@@ -251,7 +251,7 @@ def main(workers: int | None = None):
     problem = StokesProblem(mesh, eta, rho, gravity=(0, 0, -9.8),
                             bc_builder=free_slip)
     config = StokesConfig(
-        operator="tensor_compiled",  # sum-factorized compiled fine level
+        operator="tensor_c",    # sum-factorized compiled fine level
         mg_levels=3,            # geometric V(2,2) hierarchy
         coarse_solver="sa",     # smoothed aggregation on the coarsest level
         rtol=1e-5,              # unpreconditioned relative tolerance

@@ -2,8 +2,8 @@
 
 This package is the paper's headline contribution (SS III-D): applying the
 variable-viscosity vector Laplacian ``v -> -div(2 eta D(v))`` without an
-assembled sparse matrix.  Five interchangeable implementations are provided,
-mirroring Table I:
+assembled sparse matrix.  Four interchangeable implementations are provided,
+one per row of Table I:
 
 ``AssembledOperator``
     CSR SpMV baseline (memory-bandwidth bound; 4608 nonzeros/element).
@@ -20,12 +20,10 @@ mirroring Table I:
     Variant storing a packed symmetric coefficient tensor
     ``(grad xi)^T (w eta) (grad xi)`` at setup (16 values/point), removing
     per-apply geometry recomputation at the cost of extra streamed bytes.
-``TensorCompiledOperator``
-    The same packed-coefficient apply lowered to a compiled, L2-blocked C
-    kernel (GIL-releasing, in-place accumulation, no chunk temporaries);
-    degrades transparently to the NumPy path without a toolchain.
+    Runs a sum-factorized, GIL-releasing C kernel when a C toolchain is
+    available and a NumPy path otherwise.
 
-All five produce identical discrete operators (to rounding), which the test
+All four produce identical discrete operators (to rounding), which the test
 suite asserts; they differ only in flops-vs-bytes balance.
 """
 
@@ -33,14 +31,12 @@ from .assembled import AssembledOperator
 from .mf import MFOperator
 from .tensor import TensorOperator, NewtonTensorOperator
 from .tensor_c import TensorCOperator
-from .tensor_compiled import TensorCompiledOperator
 
 OPERATOR_TYPES = {
     "asmb": AssembledOperator,
     "mf": MFOperator,
     "tensor": TensorOperator,
     "tensor_c": TensorCOperator,
-    "tensor_compiled": TensorCompiledOperator,
 }
 
 
@@ -61,7 +57,6 @@ __all__ = [
     "TensorOperator",
     "NewtonTensorOperator",
     "TensorCOperator",
-    "TensorCompiledOperator",
     "OPERATOR_TYPES",
     "make_operator",
 ]

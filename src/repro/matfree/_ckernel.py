@@ -1,12 +1,12 @@
-"""Build/load machinery for the compiled blocked tensor kernel.
+"""Build/load machinery for the compiled Tensor-C kernel.
 
 The container bakes in NumPy but no Numba/Cython, so the compiled backend
 is a small C translation unit compiled *at first use* with whatever system
 compiler is available (``cc``/``gcc``/``clang``) and loaded through
 :mod:`ctypes`.  Everything is guarded: if no toolchain exists, compilation
 fails, or ``$REPRO_NO_CKERNEL`` is set, :func:`load` returns ``None`` and
-:class:`~repro.matfree.tensor_compiled.TensorCompiledOperator` falls back
-to the pure-NumPy packed-coefficient path -- the suite passes either way.
+:class:`~repro.matfree.tensor_c.TensorCOperator` runs its pure-NumPy
+packed-coefficient path instead -- the suite passes either way.
 
 Shared objects are cached under ``$REPRO_CKERNEL_CACHE`` (default
 ``~/.cache/repro``) keyed by a hash of the source and compile flags, so the
@@ -14,12 +14,10 @@ compile cost (~1 s) is paid once per machine, not per process.
 
 Kernel contract (mirrors the executor's determinism contract)
 -------------------------------------------------------------
-``tc_apply(cpk, conn, bh, dh, u, y, s, e, block)`` accumulates the viscous
+``tc_apply(cpk, conn, bh, dh, u, y, s, e)`` accumulates the viscous
 contributions of elements ``[s, e)`` into the caller's ``y`` **in strictly
-increasing element order**.  The ``block`` parameter tiles the element loop
-for L2 residency but never reorders it, so results are bit-identical for
-every block size -- and the per-span partials the executor reduces in task
-order are the same floats the serial loop produces.  All per-element
+increasing element order**, so the per-span partials the executor reduces
+in task order are the same floats the serial loop produces.  All per-element
 scratch (gathered velocities, the sum-factorization stage buffers,
 reference gradients, reference fluxes) lives on the C stack: no
 ``C``/``g``/``t`` chunk temporaries are ever allocated.
@@ -52,8 +50,8 @@ _COMPILERS = ("cc", "gcc", "clang")
 KERNEL_SOURCE = r"""
 #include <stdint.h>
 
-/* Blocked, in-order, sum-factorized apply of the packed-coefficient Q2
- * viscous operator.
+/* In-order, sum-factorized apply of the packed-coefficient Q2 viscous
+ * operator.
  *
  * cpk  : (nel, 27, 16) packed per-quadrature-point coefficients
  *        [S00,S01,S02,S11,S12,S22, K row-major (9), w*det*eta]
@@ -62,9 +60,7 @@ KERNEL_SOURCE = r"""
  * bh,dh: (3, 3) 1D basis / derivative values B^[q][a], D^[q][a].
  * u    : (nnodes*3,) interleaved input velocities.
  * y    : (nnodes*3,) output accumulator (caller zeroes the span partial).
- * s, e : element half-open range.
- * block: loop tile size in elements (<=0 means untiled); tiling preserves
- *        element order, so the result is independent of the tile size.
+ * s, e : element half-open range, accumulated in element order.
  *
  * The reference gradient g[q][c][d] = du_c/dxi_d is three passes of 3x3
  * one-dimensional contractions (Eq. 19): along z with B^ and D^, along y,
@@ -77,7 +73,7 @@ void tc_apply(const double *restrict cpk,
               const double *restrict dh,
               const double *restrict u,
               double *restrict y,
-              int64_t s, int64_t e, int64_t block)
+              int64_t s, int64_t e)
 {
     double B[3][3], D[3][3];
     for (int i = 0; i < 3; ++i)
@@ -85,164 +81,160 @@ void tc_apply(const double *restrict cpk,
             B[i][j] = bh[3 * i + j];
             D[i][j] = dh[3 * i + j];
         }
-    if (block < 1) block = e - s;
-    for (int64_t b0 = s; b0 < e; b0 += block) {
-        int64_t b1 = (b0 + block < e) ? b0 + block : e;
-        for (int64_t el = b0; el < b1; ++el) {
-            const int64_t *cn = conn + 27 * el;
-            const double *cq = cpk + 27 * 16 * el;
-            /* ue[az][(ay*3 + ax)*3 + c] */
-            double ue[3][27];
-            for (int a = 0; a < 27; ++a) {
-                const double *un = u + 3 * cn[a];
-                double *dst = &ue[a / 9][3 * (a % 9)];
-                dst[0] = un[0];
-                dst[1] = un[1];
-                dst[2] = un[2];
+    for (int64_t el = s; el < e; ++el) {
+        const int64_t *cn = conn + 27 * el;
+        const double *cq = cpk + 27 * 16 * el;
+        /* ue[az][(ay*3 + ax)*3 + c] */
+        double ue[3][27];
+        for (int a = 0; a < 27; ++a) {
+            const double *un = u + 3 * cn[a];
+            double *dst = &ue[a / 9][3 * (a % 9)];
+            dst[0] = un[0];
+            dst[1] = un[1];
+            dst[2] = un[2];
+        }
+        /* z pass: zb/zd[qz][(ay*3 + ax)*3 + c] */
+        double zb[3][27], zd[3][27];
+        for (int qz = 0; qz < 3; ++qz) {
+            const double b0 = B[qz][0], b1 = B[qz][1], b2 = B[qz][2];
+            const double d0 = D[qz][0], d1 = D[qz][1], d2 = D[qz][2];
+            for (int i = 0; i < 27; ++i) {
+                zb[qz][i] = b0 * ue[0][i] + b1 * ue[1][i] + b2 * ue[2][i];
+                zd[qz][i] = d0 * ue[0][i] + d1 * ue[1][i] + d2 * ue[2][i];
             }
-            /* z pass: zb/zd[qz][(ay*3 + ax)*3 + c] */
-            double zb[3][27], zd[3][27];
-            for (int qz = 0; qz < 3; ++qz) {
-                const double b0 = B[qz][0], b1 = B[qz][1], b2 = B[qz][2];
-                const double d0 = D[qz][0], d1 = D[qz][1], d2 = D[qz][2];
-                for (int i = 0; i < 27; ++i) {
-                    zb[qz][i] = b0 * ue[0][i] + b1 * ue[1][i] + b2 * ue[2][i];
-                    zd[qz][i] = d0 * ue[0][i] + d1 * ue[1][i] + d2 * ue[2][i];
+        }
+        /* y pass: [qz][qy][ax*3 + c]; bb = (B z, B y), bd = (B z, D y),
+         * db = (D z, B y) */
+        double bb[3][3][9], bd[3][3][9], db[3][3][9];
+        for (int qz = 0; qz < 3; ++qz) {
+            for (int qy = 0; qy < 3; ++qy) {
+                const double b0 = B[qy][0], b1 = B[qy][1], b2 = B[qy][2];
+                const double d0 = D[qy][0], d1 = D[qy][1], d2 = D[qy][2];
+                for (int i = 0; i < 9; ++i) {
+                    const double z0 = zb[qz][i], z1 = zb[qz][9 + i],
+                                 z2 = zb[qz][18 + i];
+                    bb[qz][qy][i] = b0 * z0 + b1 * z1 + b2 * z2;
+                    bd[qz][qy][i] = d0 * z0 + d1 * z1 + d2 * z2;
+                    db[qz][qy][i] = b0 * zd[qz][i] + b1 * zd[qz][9 + i]
+                                    + b2 * zd[qz][18 + i];
                 }
             }
-            /* y pass: [qz][qy][ax*3 + c]; bb = (B z, B y), bd = (B z, D y),
-             * db = (D z, B y) */
-            double bb[3][3][9], bd[3][3][9], db[3][3][9];
-            for (int qz = 0; qz < 3; ++qz) {
-                for (int qy = 0; qy < 3; ++qy) {
-                    const double b0 = B[qy][0], b1 = B[qy][1], b2 = B[qy][2];
-                    const double d0 = D[qy][0], d1 = D[qy][1], d2 = D[qy][2];
-                    for (int i = 0; i < 9; ++i) {
-                        const double z0 = zb[qz][i], z1 = zb[qz][9 + i],
-                                     z2 = zb[qz][18 + i];
-                        bb[qz][qy][i] = b0 * z0 + b1 * z1 + b2 * z2;
-                        bd[qz][qy][i] = d0 * z0 + d1 * z1 + d2 * z2;
-                        db[qz][qy][i] = b0 * zd[qz][i] + b1 * zd[qz][9 + i]
-                                        + b2 * zd[qz][18 + i];
+        }
+        /* x pass: g[q][c][d], q = (qz*3 + qy)*3 + qx */
+        double g[27][3][3];
+        for (int qz = 0; qz < 3; ++qz) {
+            for (int qy = 0; qy < 3; ++qy) {
+                const double *pbb = bb[qz][qy], *pbd = bd[qz][qy],
+                             *pdb = db[qz][qy];
+                for (int qx = 0; qx < 3; ++qx) {
+                    const int q = 9 * qz + 3 * qy + qx;
+                    const double b0 = B[qx][0], b1 = B[qx][1],
+                                 b2 = B[qx][2];
+                    const double d0 = D[qx][0], d1 = D[qx][1],
+                                 d2 = D[qx][2];
+                    for (int c = 0; c < 3; ++c) {
+                        g[q][c][0] = d0 * pbb[c] + d1 * pbb[3 + c]
+                                     + d2 * pbb[6 + c];
+                        g[q][c][1] = b0 * pbd[c] + b1 * pbd[3 + c]
+                                     + b2 * pbd[6 + c];
+                        g[q][c][2] = b0 * pdb[c] + b1 * pdb[3 + c]
+                                     + b2 * pdb[6 + c];
                     }
                 }
             }
-            /* x pass: g[q][c][d], q = (qz*3 + qy)*3 + qx */
-            double g[27][3][3];
-            for (int qz = 0; qz < 3; ++qz) {
-                for (int qy = 0; qy < 3; ++qy) {
-                    const double *pbb = bb[qz][qy], *pbd = bd[qz][qy],
-                                 *pdb = db[qz][qy];
-                    for (int qx = 0; qx < 3; ++qx) {
-                        const int q = 9 * qz + 3 * qy + qx;
-                        const double b0 = B[qx][0], b1 = B[qx][1],
-                                     b2 = B[qx][2];
-                        const double d0 = D[qx][0], d1 = D[qx][1],
-                                     d2 = D[qx][2];
-                        for (int c = 0; c < 3; ++c) {
-                            g[q][c][0] = d0 * pbb[c] + d1 * pbb[3 + c]
-                                         + d2 * pbb[6 + c];
-                            g[q][c][1] = b0 * pbd[c] + b1 * pbd[3 + c]
-                                         + b2 * pbd[6 + c];
-                            g[q][c][2] = b0 * pdb[c] + b1 * pdb[3 + c]
-                                         + b2 * pdb[6 + c];
-                        }
+        }
+        /* reference flux t[q][c][d] = (g S)_cd + w ((K g K))_dc */
+        double t[27][3][3];
+        for (int q = 0; q < 27; ++q) {
+            const double *p = cq + 16 * q;
+            const double S00 = p[0], S01 = p[1], S02 = p[2];
+            const double S11 = p[3], S12 = p[4], S22 = p[5];
+            const double *K = p + 6;
+            const double w = p[15];
+            /* gk[c][f] = (g K)_cf */
+            double gk[3][3];
+            for (int c = 0; c < 3; ++c) {
+                const double gc0 = g[q][c][0], gc1 = g[q][c][1],
+                             gc2 = g[q][c][2];
+                gk[c][0] = gc0 * K[0] + gc1 * K[3] + gc2 * K[6];
+                gk[c][1] = gc0 * K[1] + gc1 * K[4] + gc2 * K[7];
+                gk[c][2] = gc0 * K[2] + gc1 * K[5] + gc2 * K[8];
+            }
+            for (int c = 0; c < 3; ++c) {
+                const double gc0 = g[q][c][0], gc1 = g[q][c][1],
+                             gc2 = g[q][c][2];
+                /* (g S)_cd with S symmetric */
+                const double gs0 = gc0 * S00 + gc1 * S01 + gc2 * S02;
+                const double gs1 = gc0 * S01 + gc1 * S11 + gc2 * S12;
+                const double gs2 = gc0 * S02 + gc1 * S12 + gc2 * S22;
+                /* (K g K)_dc = sum_e K_de (g K)_ec */
+                const double kg0 =
+                    K[0] * gk[0][c] + K[1] * gk[1][c] + K[2] * gk[2][c];
+                const double kg1 =
+                    K[3] * gk[0][c] + K[4] * gk[1][c] + K[5] * gk[2][c];
+                const double kg2 =
+                    K[6] * gk[0][c] + K[7] * gk[1][c] + K[8] * gk[2][c];
+                t[q][c][0] = gs0 + w * kg0;
+                t[q][c][1] = gs1 + w * kg1;
+                t[q][c][2] = gs2 + w * kg2;
+            }
+        }
+        /* adjoint x pass: x0 = D^T along x of t_x, x1/x2 = B^T of
+         * t_y/t_z, each [qz][qy][ax*3 + c] */
+        double x0[3][3][9], x1[3][3][9], x2[3][3][9];
+        for (int qz = 0; qz < 3; ++qz) {
+            for (int qy = 0; qy < 3; ++qy) {
+                const double (*tq)[3][3] = t + 9 * qz + 3 * qy;
+                for (int ax = 0; ax < 3; ++ax) {
+                    const double b0 = B[0][ax], b1 = B[1][ax],
+                                 b2 = B[2][ax];
+                    const double d0 = D[0][ax], d1 = D[1][ax],
+                                 d2 = D[2][ax];
+                    for (int c = 0; c < 3; ++c) {
+                        x0[qz][qy][3 * ax + c] = d0 * tq[0][c][0]
+                            + d1 * tq[1][c][0] + d2 * tq[2][c][0];
+                        x1[qz][qy][3 * ax + c] = b0 * tq[0][c][1]
+                            + b1 * tq[1][c][1] + b2 * tq[2][c][1];
+                        x2[qz][qy][3 * ax + c] = b0 * tq[0][c][2]
+                            + b1 * tq[1][c][2] + b2 * tq[2][c][2];
                     }
                 }
             }
-            /* reference flux t[q][c][d] = (g S)_cd + w ((K g K))_dc */
-            double t[27][3][3];
-            for (int q = 0; q < 27; ++q) {
-                const double *p = cq + 16 * q;
-                const double S00 = p[0], S01 = p[1], S02 = p[2];
-                const double S11 = p[3], S12 = p[4], S22 = p[5];
-                const double *K = p + 6;
-                const double w = p[15];
-                /* gk[c][f] = (g K)_cf */
-                double gk[3][3];
-                for (int c = 0; c < 3; ++c) {
-                    const double gc0 = g[q][c][0], gc1 = g[q][c][1],
-                                 gc2 = g[q][c][2];
-                    gk[c][0] = gc0 * K[0] + gc1 * K[3] + gc2 * K[6];
-                    gk[c][1] = gc0 * K[1] + gc1 * K[4] + gc2 * K[7];
-                    gk[c][2] = gc0 * K[2] + gc1 * K[5] + gc2 * K[8];
-                }
-                for (int c = 0; c < 3; ++c) {
-                    const double gc0 = g[q][c][0], gc1 = g[q][c][1],
-                                 gc2 = g[q][c][2];
-                    /* (g S)_cd with S symmetric */
-                    const double gs0 = gc0 * S00 + gc1 * S01 + gc2 * S02;
-                    const double gs1 = gc0 * S01 + gc1 * S11 + gc2 * S12;
-                    const double gs2 = gc0 * S02 + gc1 * S12 + gc2 * S22;
-                    /* (K g K)_dc = sum_e K_de (g K)_ec */
-                    const double kg0 =
-                        K[0] * gk[0][c] + K[1] * gk[1][c] + K[2] * gk[2][c];
-                    const double kg1 =
-                        K[3] * gk[0][c] + K[4] * gk[1][c] + K[5] * gk[2][c];
-                    const double kg2 =
-                        K[6] * gk[0][c] + K[7] * gk[1][c] + K[8] * gk[2][c];
-                    t[q][c][0] = gs0 + w * kg0;
-                    t[q][c][1] = gs1 + w * kg1;
-                    t[q][c][2] = gs2 + w * kg2;
+        }
+        /* adjoint y pass: y0 = B^T x0 + D^T x1 (feeds B^T along z),
+         * y1 = B^T x2 (feeds D^T along z), [qz][(ay*3 + ax)*3 + c] */
+        double y0[3][27], y1[3][27];
+        for (int qz = 0; qz < 3; ++qz) {
+            for (int ay = 0; ay < 3; ++ay) {
+                const double b0 = B[0][ay], b1 = B[1][ay], b2 = B[2][ay];
+                const double d0 = D[0][ay], d1 = D[1][ay], d2 = D[2][ay];
+                for (int i = 0; i < 9; ++i) {
+                    y0[qz][9 * ay + i] =
+                        b0 * x0[qz][0][i] + b1 * x0[qz][1][i]
+                        + b2 * x0[qz][2][i] + d0 * x1[qz][0][i]
+                        + d1 * x1[qz][1][i] + d2 * x1[qz][2][i];
+                    y1[qz][9 * ay + i] =
+                        b0 * x2[qz][0][i] + b1 * x2[qz][1][i]
+                        + b2 * x2[qz][2][i];
                 }
             }
-            /* adjoint x pass: x0 = D^T along x of t_x, x1/x2 = B^T of
-             * t_y/t_z, each [qz][qy][ax*3 + c] */
-            double x0[3][3][9], x1[3][3][9], x2[3][3][9];
-            for (int qz = 0; qz < 3; ++qz) {
-                for (int qy = 0; qy < 3; ++qy) {
-                    const double (*tq)[3][3] = t + 9 * qz + 3 * qy;
-                    for (int ax = 0; ax < 3; ++ax) {
-                        const double b0 = B[0][ax], b1 = B[1][ax],
-                                     b2 = B[2][ax];
-                        const double d0 = D[0][ax], d1 = D[1][ax],
-                                     d2 = D[2][ax];
-                        for (int c = 0; c < 3; ++c) {
-                            x0[qz][qy][3 * ax + c] = d0 * tq[0][c][0]
-                                + d1 * tq[1][c][0] + d2 * tq[2][c][0];
-                            x1[qz][qy][3 * ax + c] = b0 * tq[0][c][1]
-                                + b1 * tq[1][c][1] + b2 * tq[2][c][1];
-                            x2[qz][qy][3 * ax + c] = b0 * tq[0][c][2]
-                                + b1 * tq[1][c][2] + b2 * tq[2][c][2];
-                        }
-                    }
-                }
-            }
-            /* adjoint y pass: y0 = B^T x0 + D^T x1 (feeds B^T along z),
-             * y1 = B^T x2 (feeds D^T along z), [qz][(ay*3 + ax)*3 + c] */
-            double y0[3][27], y1[3][27];
-            for (int qz = 0; qz < 3; ++qz) {
-                for (int ay = 0; ay < 3; ++ay) {
-                    const double b0 = B[0][ay], b1 = B[1][ay], b2 = B[2][ay];
-                    const double d0 = D[0][ay], d1 = D[1][ay], d2 = D[2][ay];
-                    for (int i = 0; i < 9; ++i) {
-                        y0[qz][9 * ay + i] =
-                            b0 * x0[qz][0][i] + b1 * x0[qz][1][i]
-                            + b2 * x0[qz][2][i] + d0 * x1[qz][0][i]
-                            + d1 * x1[qz][1][i] + d2 * x1[qz][2][i];
-                        y1[qz][9 * ay + i] =
-                            b0 * x2[qz][0][i] + b1 * x2[qz][1][i]
-                            + b2 * x2[qz][2][i];
-                    }
-                }
-            }
-            /* adjoint z pass, then ordered scatter into the accumulator */
-            double ye[3][27];
-            for (int az = 0; az < 3; ++az) {
-                const double b0 = B[0][az], b1 = B[1][az], b2 = B[2][az];
-                const double d0 = D[0][az], d1 = D[1][az], d2 = D[2][az];
-                for (int i = 0; i < 27; ++i)
-                    ye[az][i] = b0 * y0[0][i] + b1 * y0[1][i] + b2 * y0[2][i]
-                                + d0 * y1[0][i] + d1 * y1[1][i]
-                                + d2 * y1[2][i];
-            }
-            for (int a = 0; a < 27; ++a) {
-                double *yn = y + 3 * cn[a];
-                const double *src = &ye[a / 9][3 * (a % 9)];
-                yn[0] += src[0];
-                yn[1] += src[1];
-                yn[2] += src[2];
-            }
+        }
+        /* adjoint z pass, then ordered scatter into the accumulator */
+        double ye[3][27];
+        for (int az = 0; az < 3; ++az) {
+            const double b0 = B[0][az], b1 = B[1][az], b2 = B[2][az];
+            const double d0 = D[0][az], d1 = D[1][az], d2 = D[2][az];
+            for (int i = 0; i < 27; ++i)
+                ye[az][i] = b0 * y0[0][i] + b1 * y0[1][i] + b2 * y0[2][i]
+                            + d0 * y1[0][i] + d1 * y1[1][i]
+                            + d2 * y1[2][i];
+        }
+        for (int a = 0; a < 27; ++a) {
+            double *yn = y + 3 * cn[a];
+            const double *src = &ye[a / 9][3 * (a % 9)];
+            yn[0] += src[0];
+            yn[1] += src[1];
+            yn[2] += src[2];
         }
     }
 }
@@ -301,7 +293,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,  # y
         ctypes.c_int64,   # s
         ctypes.c_int64,   # e
-        ctypes.c_int64,   # block
     ]
     return lib
 

@@ -194,11 +194,21 @@ class ViscousOperatorBase:
                 return self.apply(u)
         return self.apply(u)
 
-    def _lookup_event_cost(self) -> tuple[int, int]:
-        """Analytic (flops, bytes) of one whole-mesh apply, for the event."""
+    @property
+    def count_kind(self) -> str:
+        """Row of :data:`repro.perf.counts.OPERATOR_COUNTS` this apply runs."""
+        return _COUNT_ALIAS.get(self.name, self.name)
+
+    @property
+    def counts(self):
+        """Analytic per-element counts of one apply (``None`` without a row)."""
         from ..perf.counts import OPERATOR_COUNTS
 
-        c = OPERATOR_COUNTS.get(_COUNT_ALIAS.get(self.name, self.name))
+        return OPERATOR_COUNTS.get(self.count_kind)
+
+    def _lookup_event_cost(self) -> tuple[int, int]:
+        """Analytic (flops, bytes) of one whole-mesh apply, for the event."""
+        c = self.counts
         if c is None:
             return (0, 0)
         return (c.flops * self.mesh.nel, c.bytes_perfect_cache * self.mesh.nel)
@@ -211,12 +221,7 @@ class ViscousOperatorBase:
         kernel kind (counted calls only; direct ``apply`` calls bypass the
         counter by design -- smoother internals go through ``__call__``).
         """
-        from ..perf.counts import OPERATOR_COUNTS
-
-        counts = OPERATOR_COUNTS.get(self.name)
-        if counts is None:
-            return 0
-        return counts.flops * self.mesh.nel * self.napplies
+        return self._lookup_event_cost()[0] * self.napplies
 
     def diagonal(self) -> np.ndarray:
         """Operator diagonal (for Jacobi/Chebyshev), computed matrix-free."""

@@ -7,11 +7,8 @@ every quadrature point the rank-4 tensor
 
 mapping the *reference* velocity gradient directly to the reference-space
 flux.  The paper counts 21 distinct entries per point for its symmetric
-Voigt storage; the dense rank-4 array has 81.  Early versions of this
-kernel stored all 81 (while quoting the paper's 21-entry byte counts --
-the mismatch the roofline model now reflects honestly, see
-:mod:`repro.perf.counts`).  The current storage is a 16-value packing that
-is exact for the isotropic Picard operator:
+Voigt storage; the dense rank-4 array has 81.  The storage here is a
+16-value packing that is exact for the isotropic Picard operator:
 
     per point:  S = w eta K K^T   (symmetric, 6 values)
                 K = grad_x xi     (inverse Jacobian, 9 values)
@@ -20,8 +17,22 @@ is exact for the isotropic Picard operator:
 with the apply ``t = g S + w (K g K)^T`` (derivation in
 :func:`build_packed_coefficients`).  That cuts the stored coefficient
 memory ~5x versus the dense rank-4 form (81 -> 16 values/point), which is
-what lets the 16^3-32^3 Table 1 runs fit, and it is the exact layout the
-compiled backend (:mod:`repro.matfree.tensor_compiled`) streams.
+what lets the 16^3-32^3 Table 1 runs fit.
+
+Two backends run the same packed apply:
+
+* the compiled C kernel of :mod:`repro.matfree._ckernel` (used whenever
+  :func:`~repro.matfree._ckernel.load` succeeds): sum-factorized reference
+  gradients (eight 3x3 one-dimensional contractions per sweep, Eq. 19),
+  per-element scratch on the C stack, elements accumulated strictly in
+  order, and a plain ``ctypes`` call that releases the GIL so the
+  executor's worker threads scale it;
+* the NumPy path (no toolchain, or ``$REPRO_NO_CKERNEL`` set): batched
+  GEMMs against the dense Kronecker gradient factors.
+
+They agree to rounding; :attr:`TensorCOperator.compiled` says which one
+runs, and the flop count reported for an apply follows it
+(:mod:`repro.perf.counts`).
 
 Cache invalidation follows the state-version contract of
 :class:`~repro.matfree.base.ViscousOperatorBase`: the packed tensor is
@@ -34,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _ckernel
 from .tensor import TensorOperator, forward_gradient, adjoint_gradient
 
 #: packed coefficient values per quadrature point (6 of S + 9 of K + w)
@@ -90,6 +102,25 @@ class TensorCOperator(TensorOperator):
         super().__init__(mesh, eta_q, quad, chunk, **parallel_opts)
         self._C = self._build_coefficient_tensor()
         self._coeff_key = (mesh.coords_version, self.eta_version)
+        self._lib = _ckernel.load()
+        # the C kernel reads these as raw pointers: pin dtypes/contiguity once
+        self._conn64 = np.ascontiguousarray(mesh.connectivity, dtype=np.int64)
+        self._B_c = np.ascontiguousarray(self.B_hat, dtype=np.float64)
+        self._D_c = np.ascontiguousarray(self.D_hat, dtype=np.float64)
+
+    @property
+    def compiled(self) -> bool:
+        """True when applies go through the C kernel (else the NumPy path)."""
+        return self._lib is not None
+
+    @property
+    def fallback_reason(self) -> str | None:
+        return _ckernel.unavailable_reason() if self._lib is None else None
+
+    @property
+    def count_kind(self) -> str:
+        # the two backends do different arithmetic: report the one that runs
+        return "tensor_c" if self.compiled else "tensor_c_numpy"
 
     def _build_coefficient_tensor(self) -> np.ndarray:
         """Packed coefficients ``(nel, nq, 16)`` (see module docstring)."""
@@ -125,6 +156,14 @@ class TensorCOperator(TensorOperator):
 
     def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
         y = np.zeros(self.ndof)
+        if self._lib is not None:
+            u = np.ascontiguousarray(u, dtype=np.float64)
+            self._lib.tc_apply(
+                self._C.ctypes.data, self._conn64.ctypes.data,
+                self._B_c.ctypes.data, self._D_c.ctypes.data,
+                u.ctypes.data, y.ctypes.data, int(s0), int(e0),
+            )
+            return y
         for s, e in self._sub_chunks(s0, e0):
             ue = u.reshape(-1, 3)[self.mesh.connectivity[s:e]]
             g = forward_gradient(

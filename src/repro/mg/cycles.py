@@ -40,13 +40,6 @@ class MGLevel:
         The shared-memory :class:`~repro.parallel.executor.ParallelExecutor`
         this level's applies and smoothing run through (``None`` = serial);
         levels typically share one pool.
-    fused_residual:
-        Take the pre-smoothing residual from the smoother's own recurrence
-        (``smoother.smooth_with_residual``) instead of recomputing
-        ``b - A x`` -- saving one operator apply per level per cycle.  The
-        fused residual equals the explicit one only up to rounding, so this
-        is opt-in; levels whose smoother lacks ``smooth_with_residual``
-        silently fall back to the explicit computation.
     operator:
         The viscous operator object behind ``apply`` (set on the GMG fine
         level, so a solve can reuse it for its coupled matvec), or ``None``.
@@ -58,7 +51,6 @@ class MGLevel:
     bc_mask: np.ndarray | None = None
     coarse_solve: Callable[[np.ndarray], np.ndarray] | None = None
     executor: object | None = None
-    fused_residual: bool = False
     operator: object | None = None
     # diagnostics
     ndof: int = 0
@@ -125,16 +117,11 @@ class MGHierarchy:
         obs_on = _obs.STATE.enabled
         # incoming residual norm is free only for a zero initial guess
         rnorm_in = float(np.linalg.norm(b)) if obs_on and x is None else None
-        fuse = lvl.fused_residual and hasattr(lvl.smoother, "smooth_with_residual")
         with _obs.timed(f"MGSmooth_level{level}"):
-            if fuse:
-                x, r = lvl.smoother.smooth_with_residual(b, x)
-            else:
-                x = lvl.smoother.smooth(b, x)
+            x = lvl.smoother.smooth(b, x)
         coarse = self.levels[level + 1]
-        if not fuse:
-            with _obs.timed(f"MGResid_level{level}"):
-                r = b - lvl.apply(x)
+        with _obs.timed(f"MGResid_level{level}"):
+            r = b - lvl.apply(x)
         if obs_on:
             trace_mg(level, "presmooth", float(np.linalg.norm(r)), rnorm_in)
         with _obs.timed(f"MGRestrict_level{level}"):

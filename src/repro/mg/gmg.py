@@ -46,17 +46,11 @@ class GMGConfig:
     levels:
         Number of geometric levels (paper uses 3).
     fine_operator:
-        One of ``asmb | mf | tensor | tensor_c | tensor_compiled`` -- the
-        Table I kernel used on the finest level (smoother + residual
-        evaluations).  The default ``tensor_compiled`` is the
-        sum-factorized compiled Tensor-C apply (NumPy packed path when no
-        C toolchain is present).  The level keeps the operator object as
-        ``MGLevel.operator``.
-    fused_residual:
-        Take pre-smoothing residuals from the Chebyshev recurrence instead
-        of an explicit ``b - A x`` (one operator apply saved per level per
-        cycle; see :class:`~repro.mg.cycles.MGLevel`).  Off by default --
-        the fused residual differs from the explicit one in rounding.
+        One of ``asmb | mf | tensor | tensor_c`` -- the Table I kernel used
+        on the finest level (smoother + residual evaluations).  The default
+        ``tensor_c`` runs the sum-factorized compiled Tensor-C apply (its
+        NumPy packed path when no C toolchain is present).  The level keeps
+        the operator object as ``MGLevel.operator``.
     galerkin:
         If True, levels below the first assembled one use Galerkin RAP;
         otherwise they are rediscretized.
@@ -81,8 +75,7 @@ class GMGConfig:
     """
 
     levels: int = 3
-    fine_operator: str = "tensor_compiled"
-    fused_residual: bool = False
+    fine_operator: str = "tensor_c"
     galerkin: bool = True
     galerkin_from_fine: bool = False
     smoother_degree: int = 2
@@ -223,7 +216,6 @@ def build_gmg(
             ndof=3 * meshes[0].nnodes,
             label=f"gmg-fine[{cfg.fine_operator}]",
             executor=executor,
-            fused_residual=cfg.fused_residual,
             operator=op,
         )
     )
@@ -280,7 +272,6 @@ def build_gmg(
                     ndof=3 * mesh.nnodes,
                     label="gmg-assembled",
                     executor=executor,
-                    fused_residual=cfg.fused_residual,
                 )
             )
         stats.level_ndofs.append(3 * mesh.nnodes)

@@ -23,11 +23,13 @@ Two tables live here, and the distinction is the point:
     * **flops** -- our apply evaluates the two-term contraction
       ``t = g S + w (K g K)^T`` (153 flops/point) between the
       reference-gradient forward/adjoint sweeps, not the paper's
-      fully-precomputed 81-entry contraction.  The NumPy ``tensor_c``
-      sweeps are GEMMs against the dense Kronecker factors (13122 flops
-      each); the C ``tensor_compiled`` kernel sum-factorizes them into
-      eight 3x3 one-dimensional contractions (3888 flops each), so its
-      row is 11907 flops against ``tensor_c``'s 30375 with the same bytes.
+      fully-precomputed 81-entry contraction.  The C kernel sum-factorizes
+      each sweep into eight 3x3 one-dimensional contractions (3888 flops),
+      so the ``tensor_c`` row is 11907 flops.  Without a toolchain the
+      operator runs its NumPy path, whose sweeps are GEMMs against the
+      dense Kronecker factors (13122 flops each): that arithmetic has its
+      own row, ``tensor_c_numpy``, 30375 flops with the same bytes.  A
+      ``TensorCOperator`` reports the row of the path it runs.
 
 Paper rows (SS III-D):
 
@@ -119,16 +121,12 @@ assert _TENSOR_C_PAPER.bytes_perfect_cache == 4920
 assert _TENSOR_C_PAPER.bytes_pessimal_cache == 5832
 
 # -- Tensor-C, implementation accounting (16-value packed storage) ---------- #
-# forward gradient: 3 directions x 27 q x 27 basis x 3 comps x 2 flops
-_GRAD_FLOPS = 3 * 27 * 27 * 3 * 2  # = 13122 (same for the adjoint sweep)
 # pointwise t = g S + w (K g K)^T per quadrature point:
 #   gK   9 entries x (3 mul + 2 add)              = 45
 #   gS   3 comps x 3 entries x (3 mul + 2 add)    = 45
 #   KgK  3 comps x 3 entries x (3 mul + 2 add)    = 45
 #   t    3 comps x 3 entries x (1 mul + 1 add)    = 18
 _POINT_FLOPS = 45 + 45 + 45 + 18  # = 153
-_TENSOR_C_FLOPS = 2 * _GRAD_FLOPS + 27 * _POINT_FLOPS
-assert _TENSOR_C_FLOPS == 30375, _TENSOR_C_FLOPS
 # streamed/element: packed coefficients 16*27 doubles + 27 gather indices
 # (int64) + state/residual vectors (8 fresh nodes with perfect caching, all
 # 27 with pessimal)
@@ -137,25 +135,32 @@ _TENSOR_C_BYTES_PESSIMAL = 8 * (2 * 27 * 3) + 8 * 16 * 27 + 8 * 27
 assert _TENSOR_C_BYTES_PERFECT == 4056
 assert _TENSOR_C_BYTES_PESSIMAL == 4968
 
+# C kernel (repro.matfree._ckernel): sum-factorized sweeps.  One 1D
+# contraction: 27 outputs x 3 comps x 3 terms x 2 flops = 486
+_CONTRACTION_FLOPS = 27 * 3 * 3 * 2
+# forward: z pass (B, D) 2 + y pass (B.B, D.B, B.D) 3 + x pass (one per
+# direction) 3; the adjoint runs the transposed passes x 3, y 3, z 2
+_SF_GRAD_FLOPS = (2 + 3 + 3) * _CONTRACTION_FLOPS
+assert _SF_GRAD_FLOPS == 3888, _SF_GRAD_FLOPS
+_TENSOR_C_FLOPS = 2 * _SF_GRAD_FLOPS + 27 * _POINT_FLOPS
+assert _TENSOR_C_FLOPS == 11907, _TENSOR_C_FLOPS
+
 _TENSOR_C_IMPL = OperatorCounts(
     name="tensor_c",
     flops=_TENSOR_C_FLOPS,
     bytes_perfect_cache=_TENSOR_C_BYTES_PERFECT,
     bytes_pessimal_cache=_TENSOR_C_BYTES_PESSIMAL,
 )
-# -- compiled Tensor-C: sum-factorized sweeps (repro.matfree._ckernel) ----- #
-# one 1D contraction: 27 outputs x 3 comps x 3 terms x 2 flops = 486
-_CONTRACTION_FLOPS = 27 * 3 * 3 * 2
-# forward: z pass (B, D) 2 + y pass (B.B, D.B, B.D) 3 + x pass (one per
-# direction) 3; the adjoint runs the transposed passes x 3, y 3, z 2
-_SF_GRAD_FLOPS = (2 + 3 + 3) * _CONTRACTION_FLOPS
-assert _SF_GRAD_FLOPS == 3888, _SF_GRAD_FLOPS
-_TENSOR_COMPILED_FLOPS = 2 * _SF_GRAD_FLOPS + 27 * _POINT_FLOPS
-assert _TENSOR_COMPILED_FLOPS == 11907, _TENSOR_COMPILED_FLOPS
 
-_TENSOR_COMPILED = OperatorCounts(
-    name="tensor_compiled",
-    flops=_TENSOR_COMPILED_FLOPS,
+# NumPy path: dense Kronecker sweeps, 3 directions x 27 q x 27 basis x
+# 3 comps x 2 flops = 13122 each
+_KRON_GRAD_FLOPS = 3 * 27 * 27 * 3 * 2
+_TENSOR_C_NUMPY_FLOPS = 2 * _KRON_GRAD_FLOPS + 27 * _POINT_FLOPS
+assert _TENSOR_C_NUMPY_FLOPS == 30375, _TENSOR_C_NUMPY_FLOPS
+
+_TENSOR_C_NUMPY = OperatorCounts(
+    name="tensor_c_numpy",
+    flops=_TENSOR_C_NUMPY_FLOPS,
     bytes_perfect_cache=_TENSOR_C_BYTES_PERFECT,
     bytes_pessimal_cache=_TENSOR_C_BYTES_PESSIMAL,
 )
@@ -165,10 +170,11 @@ PAPER_COUNTS: dict[str, OperatorCounts] = {
     c.name: c for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_PAPER)
 }
 
-#: what this implementation computes and streams (GF/s accounting, events)
+#: what this implementation computes and streams (GF/s accounting, events),
+#: one row per arithmetic actually run
 OPERATOR_COUNTS: dict[str, OperatorCounts] = {
     c.name: c
-    for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_IMPL, _TENSOR_COMPILED)
+    for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_IMPL, _TENSOR_C_NUMPY)
 }
 
 

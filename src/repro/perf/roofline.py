@@ -7,8 +7,8 @@ An operator apply over ``nel`` elements on ``cores`` cores takes
 
 -- compute-limited for the matrix-free kernels and bandwidth-limited for
 assembled SpMV (0.25 f/B), which is the entire point of SS III-D.  With
-perfect caching the einsum kernels sit at 15-53 f/B; the compiled
-Tensor-C (11907 flops over its 4056-byte packed stream, ~2.9 f/B) does the
+perfect caching the einsum kernels sit at 15-53 f/B; Tensor-C's compiled
+kernel (11907 flops over its 4056-byte packed stream, ~2.9 f/B) does the
 fewest flops of all and still sits above Edison's modeled machine balance
 (~1.6 f/B), so its modeled time is its flop time.  The solve-level model composes per-iteration costs (smoother
 applies + residuals + transfers) with halo-exchange and reduction latency
@@ -105,10 +105,11 @@ class SolveCostModel:
     def fine_applies_per_iteration(self) -> int:
         """Fine-level operator applications per outer Krylov iteration.
 
-        Pre+post smoothing (2 * degree Chebyshev matvecs) + the V-cycle's
-        fine residual + the outer matvec.
+        Pre-smoothing from a zero guess (degree - 1 Chebyshev matvecs) +
+        the V-cycle's fine residual + post-smoothing (degree, its first
+        for the initial residual) + the outer matvec.
         """
-        return 2 * self.smoother_degree + 2
+        return 2 * self.smoother_degree + 1
 
 
 def modeled_solve_time(
@@ -154,7 +155,7 @@ def memory_bytes(kind: str, nel: int, nnodes: int) -> int:
     coeff = nel * 27 * 8
     if kind in ("mf", "tensor"):
         return vectors + coords + coeff
-    if kind in ("tensor_c", "tensor_compiled"):
+    if kind == "tensor_c":
         return vectors + coords + nel * 27 * 16 * 8
     raise ValueError(f"unknown operator kind {kind!r}")
 

@@ -151,6 +151,8 @@ class ChebyshevSmoother:
                 )
         self.dinv = 1.0 / diag
         self.degree = int(degree)
+        if self.degree < 1:
+            raise ValueError(f"Chebyshev degree must be >= 1, got {degree}")
         if interval is None:
             lmax_hat = estimate_lambda_max(A, self.dinv, iters=eig_iters)
             interval = (emin_factor * lmax_hat, emax_factor * lmax_hat)
@@ -159,46 +161,38 @@ class ChebyshevSmoother:
             raise ValueError(f"invalid Chebyshev interval {interval}")
 
     def smooth(self, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        """Run ``degree`` Chebyshev iterations on ``A x = b`` from ``x``."""
-        return self.smooth_with_residual(b, x)[0]
+        """Run ``degree`` Chebyshev iterations on ``A x = b`` from ``x``.
 
-    def smooth_with_residual(
-        self, b: np.ndarray, x: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Smooth and return ``(x, r)`` with ``r = b - A x`` for free.
-
-        The Chebyshev recurrence maintains the residual at every iterate
-        (``r <- r - A d`` tracks ``b - A x`` exactly as ``x <- x + d``);
-        :meth:`smooth` historically discarded it, forcing the V-cycle to
-        spend a full operator apply per level recomputing it.  Fused
-        callers (see :class:`~repro.mg.cycles.MGLevel.fused_residual`)
-        take the recurrence residual instead -- mathematically the same
-        vector, differing from a fresh ``b - A(x)`` only in rounding.
+        The recurrence carries the residual ``r = b - A x`` along with the
+        iterate, one operator apply per update; it stops after the last
+        ``x <- x + d``, since no later direction needs that residual.  So
+        a smooth costs ``degree - 1`` applies from a zero guess and
+        ``degree`` from a given one (its initial residual).
         """
         theta = 0.5 * (self.lmax + self.lmin)
         delta = 0.5 * (self.lmax - self.lmin)
         if x is None:
             x = np.zeros_like(b)
-            r = b.copy()
+            r = b
         else:
-            x = x.copy()
             r = b - self.A(x)
         sigma = theta / delta
         rho = 1.0 / sigma
         d = (self.dinv * r) / theta
-        for _ in range(self.degree):
+        for _ in range(self.degree - 1):
             x = x + d
             r = r - self.A(d)
             rho_new = 1.0 / (2.0 * sigma - rho)
             d = rho_new * rho * d + (2.0 * rho_new / delta) * (self.dinv * r)
             rho = rho_new
+        x = x + d
         if self.guard and nonfinite(float(x @ x)):
             raise BreakdownError(
                 "Chebyshev smoother produced a non-finite iterate "
                 "(poisoned operator apply or diagonal)",
                 reason=ConvergedReason.DIVERGED_NAN,
             )
-        return x, r
+        return x
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Preconditioner interface: approximate ``A^{-1} r`` from zero."""

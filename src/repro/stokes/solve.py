@@ -34,12 +34,12 @@ class StokesConfig:
 
     ``operator`` is the Table I kernel of the fine viscous block, used by
     both the coupled matvec and the GMG fine level (one instance per
-    solve).  The default ``"tensor_compiled"`` is the sum-factorized
-    Tensor-C apply in C; without a C toolchain it runs the NumPy packed
-    path and reports why through ``fallback_reason``.
+    solve).  The default ``"tensor_c"`` runs the sum-factorized Tensor-C
+    apply in C; without a C toolchain it runs the NumPy packed path and
+    reports why through ``fallback_reason``.
     """
 
-    operator: str = "tensor_compiled"
+    operator: str = "tensor_c"
     mg_levels: int = 3
     smoother_degree: int = 2  # V(2,2)
     coarse_solver: str = "sa"

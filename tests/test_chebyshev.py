@@ -75,10 +75,13 @@ class TestSmoother:
         r = np.ones(32)
         assert np.allclose(cheb(r), cheb.smooth(r, None))
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("x0", [None, "random"])
-    def test_fused_residual_matches_explicit(self, x0):
-        """smooth_with_residual returns the recurrence-maintained residual:
-        equal to b - A x up to rounding, with zero extra operator applies."""
+    def test_smooth_matches_textbook_with_fewer_applies(self, x0, degree):
+        """``smooth`` stops after its last ``x <- x + d``: ``degree - 1``
+        applies from a zero guess, ``degree`` from a given one, and the
+        same floats as the textbook recurrence, which also updates the
+        residual after the last step."""
         A = laplace_1d(32)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(32)
@@ -89,16 +92,32 @@ class TestSmoother:
             applies[0] += 1
             return A @ v
 
-        cheb = ChebyshevSmoother(counted, A.diagonal(), degree=3)
+        cheb = ChebyshevSmoother(counted, A.diagonal(), degree=degree)
         applies[0] = 0
-        x_plain = cheb.smooth(b, x_init)
-        plain_applies = applies[0]
-        applies[0] = 0
-        x_fused, r_fused = cheb.smooth_with_residual(b, x_init)
-        assert applies[0] == plain_applies  # the residual is free
-        assert np.array_equal(x_plain, x_fused)
-        scale = np.linalg.norm(b)
-        assert np.linalg.norm(r_fused - (b - A @ x_fused)) < 1e-12 * scale
+        x = cheb.smooth(b, x_init)
+        assert applies[0] == (degree - 1 if x0 is None else degree)
+
+        # Jacobi-preconditioned Chebyshev iteration (Saad, Iterative
+        # Methods for Sparse Linear Systems, Alg. 12.1)
+        theta = 0.5 * (cheb.lmax + cheb.lmin)
+        delta = 0.5 * (cheb.lmax - cheb.lmin)
+        xt = np.zeros_like(b) if x_init is None else x_init.copy()
+        r = b - A @ xt
+        sigma = theta / delta
+        rho = 1.0 / sigma
+        d = (cheb.dinv * r) / theta
+        for _ in range(degree):
+            xt = xt + d
+            r = r - A @ d
+            rho_new = 1.0 / (2.0 * sigma - rho)
+            d = rho_new * rho * d + (2.0 * rho_new / delta) * (cheb.dinv * r)
+            rho = rho_new
+        assert np.array_equal(x, xt)
+
+    def test_degree_must_be_positive(self):
+        A = laplace_1d(8)
+        with pytest.raises(ValueError):
+            ChebyshevSmoother(lambda v: A @ v, A.diagonal(), degree=0)
 
     def test_nonzero_initial_guess(self):
         A = laplace_1d(32)

@@ -69,10 +69,9 @@ class TestConvergence:
 
 
 class TestOperatorChoices:
-    @pytest.mark.parametrize(
-        "kind", ["asmb", "mf", "tensor", "tensor_c", "tensor_compiled"])
+    @pytest.mark.parametrize("kind", ["asmb", "mf", "tensor", "tensor_c"])
     def test_all_fine_operators_give_same_iterations(self, kind):
-        # galerkin=False so all five kinds build the *same* hierarchy
+        # galerkin=False so all four kinds build the *same* hierarchy
         # (an assembled fine level would otherwise enable Galerkin RAP)
         res, _ = solve_with_gmg(
             (4, 4, 4), config=GMGConfig(levels=2, coarse_solver="lu",

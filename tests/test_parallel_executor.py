@@ -29,7 +29,7 @@ from repro.parallel.decomposition import BlockDecomposition
 from tests.conftest import parallel_engine
 
 QUAD = GaussQuadrature.hex(3)
-KINDS = ["asmb", "mf", "tensor", "tensor_c", "tensor_compiled"]
+KINDS = ["asmb", "mf", "tensor", "tensor_c"]
 BACKENDS = ["thread", "process"]
 
 
@@ -183,8 +183,7 @@ class TestStateVersioning:
     with the same worker count, so its span-partial reduction order
     matches bitwise."""
 
-    @pytest.mark.parametrize(
-        "kind", ["tensor", "tensor_c", "tensor_compiled", "asmb"])
+    @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "asmb"])
     def test_mesh_deform_rebuilds_coefficients(self, kind, workers):
         mesh, eta, u = small_setup()
         op = make_operator(kind, mesh, eta, quad=QUAD, workers=workers)
@@ -203,7 +202,7 @@ class TestStateVersioning:
         if op.executor is not None:
             op.executor.shutdown()
 
-    @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "tensor_compiled"])
+    @pytest.mark.parametrize("kind", ["tensor", "tensor_c"])
     def test_eta_mutation_rebuilds_coefficients(self, kind, workers):
         mesh, eta, u = small_setup()
         op = make_operator(kind, mesh, eta.copy(), quad=QUAD, workers=workers)

@@ -73,12 +73,15 @@ class TestImplementationCounts:
         # 16 packed values/point + int64 gather indices + 8/27-node vectors
         assert c.bytes_perfect_cache == 8 * (2 * 8 * 3) + 8 * 16 * 27 + 8 * 27
         assert c.bytes_pessimal_cache == 8 * (2 * 27 * 3) + 8 * 16 * 27 + 8 * 27
-        # two factored gradient sweeps + the 153-flop pointwise contraction
-        assert c.flops == 2 * 13122 + 27 * 153 == 30375
+        # the NumPy path: two dense Kronecker gradient sweeps + the
+        # 153-flop pointwise contraction, over the same packed stream
+        numpy_path = OPERATOR_COUNTS["tensor_c_numpy"]
+        assert numpy_path.flops == 2 * 13122 + 27 * 153 == 30375
+        assert numpy_path.bytes_perfect_cache == c.bytes_perfect_cache
 
     def test_compiled_sum_factorizes_the_tensor_c_sweeps(self):
-        c = OPERATOR_COUNTS["tensor_compiled"]
-        ref = OPERATOR_COUNTS["tensor_c"]
+        c = OPERATOR_COUNTS["tensor_c"]
+        ref = OPERATOR_COUNTS["tensor_c_numpy"]
         # same packed stream, so the same bytes
         assert (c.bytes_perfect_cache, c.bytes_pessimal_cache) == (
             ref.bytes_perfect_cache, ref.bytes_pessimal_cache

@@ -240,7 +240,7 @@ class TestRankEngines:
             assert real.reductions == oracle.comm.stats.reductions
         oracle.shutdown()
 
-    @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "tensor_compiled"])
+    @pytest.mark.parametrize("kind", ["tensor", "tensor_c"])
     def test_in_place_eta_update_resnapshots_ranks(self, kind):
         """The fork-snapshot staleness check lives only in procomm: after
         an in-place ``eta_q *= f`` between two 2-rank applies, the ranks

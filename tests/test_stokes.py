@@ -236,15 +236,15 @@ class TestDefaultKernel:
         return StokesProblem(mesh, eta, rho, bc_builder=free_slip_bc)
 
     def test_default_solve_runs_one_compiled_operator(self):
-        from repro.matfree import TensorCompiledOperator, _ckernel
+        from repro.matfree import TensorCOperator, _ckernel
 
         sol = solve_stokes(self._problem())
         assert sol.converged
         A = sol.extra["operator"].A_op
-        assert isinstance(A, TensorCompiledOperator)
+        assert isinstance(A, TensorCOperator)
         assert A.compiled == _ckernel.available()
         fine = sol.extra["preconditioner"].velocity_pc.levels[0]
-        assert fine.label == "gmg-fine[tensor_compiled]"
+        assert fine.label == "gmg-fine[tensor_c]"
         assert fine.operator is A
 
     def test_numpy_fallback_converges_in_the_same_iterations(self, monkeypatch):
