@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .basis import P1DiscBasis
 from .quadrature import GaussQuadrature
 from ..obs.registry import instrument
+from ..parallel.executor import partition_elements, run_spans, span_window
 
 DEFAULT_CHUNK = 512
 
@@ -105,9 +106,11 @@ def assemble_viscous(
 ) -> sp.csr_matrix:
     """Assembled viscous block ``J_uu`` (SPD after Dirichlet elimination).
 
-    With an :class:`~repro.parallel.executor.ParallelExecutor` the element
-    matrices are computed by worker spans (``mode="concat"``); the values
-    are element-independent, so the result equals the serial assembly.
+    The element matrices are computed per element z-layer
+    (:func:`~repro.parallel.executor.partition_elements`), inline or by
+    the ``executor``'s workers, and their values concatenated in layer
+    order (disjoint windows), so the result does not depend on the
+    engine.
     """
     quad = quad or GaussQuadrature.hex(3)
     conn = mesh.connectivity
@@ -119,22 +122,18 @@ def assemble_viscous(
     rows = np.repeat(edofs, 3 * nb, axis=1).ravel()
     cols = np.tile(edofs, (1, 3 * nb)).ravel()
     kernel = _ViscousValsKernel(mesh, np.asarray(eta_q, float), quad, chunk)
-    if executor is not None:
-        from ..parallel.executor import partition_elements
-
-        spans = partition_elements(mesh, executor.workers)
-        vals = executor.dispatch(
-            kernel, "vals", spans, np.empty(0),
-            sizes=[(e - s) * kernel.block for s, e in spans], mode="concat",
-        )
-    else:
-        vals = kernel.vals(np.empty(0), 0, mesh.nel)
+    spans = partition_elements(mesh)
+    vals = run_spans(
+        executor, kernel, "vals", spans, np.empty(0),
+        [(kernel.block * s, kernel.block * e) for s, e in spans],
+    )
     A = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof))
     return A.tocsr()
 
 
 class _DiagonalKernel:
-    """Executor span kernel: partial viscous diagonal over ``[s, e)``."""
+    """Executor span kernel: viscous diagonal of ``[s, e)`` over the
+    span's dof window."""
 
     def __init__(self, mesh, eta_q, quad):
         self.mesh = mesh
@@ -155,8 +154,9 @@ class _DiagonalKernel:
         dloc = lap[:, :, None] + cross  # (nel_span, nb, 3)
         conn = mesh.connectivity[s:e]
         edofs = 3 * conn[:, :, None] + np.arange(3)[None, None, :]
-        diag = np.zeros(3 * mesh.nnodes)
-        np.add.at(diag, edofs.ravel(), dloc.ravel())
+        lo, hi = span_window(mesh, s, e)
+        diag = np.zeros(hi - lo)
+        np.add.at(diag, edofs.ravel() - lo, dloc.ravel())
         return diag
 
 
@@ -168,20 +168,15 @@ def viscous_diagonal(
 
     This is the matrix-free path to the Jacobi preconditioner the Chebyshev
     smoother needs: only element-diagonal contributions are accumulated.
-    With an executor, each worker accumulates its element span into its own
-    buffer and the partials are summed in span order (race-free scatter).
+    Each element z-layer accumulates into its own dof window, inline or on
+    the ``executor``'s workers, and the windows are summed in layer order
+    (race-free scatter, one reduction order for every engine).
     """
     quad = quad or GaussQuadrature.hex(3)
     kernel = _DiagonalKernel(mesh, np.asarray(eta_q, float), quad)
-    if executor is not None:
-        from ..parallel.executor import partition_elements
-
-        spans = partition_elements(mesh, executor.workers)
-        return executor.dispatch(
-            kernel, "partial", spans, np.empty(0),
-            out_len=3 * mesh.nnodes, mode="sum",
-        )
-    return kernel.partial(np.empty(0), 0, mesh.nel)
+    spans = partition_elements(mesh)
+    return run_spans(executor, kernel, "partial", spans, np.empty(0),
+                     [span_window(mesh, s, e) for s, e in spans])
 
 
 @instrument("AssembleDivergence")

@@ -14,13 +14,17 @@ compile cost (~1 s) is paid once per machine, not per process.
 
 Kernel contract (mirrors the executor's determinism contract)
 -------------------------------------------------------------
-``tc_apply(cpk, conn, bh, dh, u, y, s, e)`` accumulates the viscous
-contributions of elements ``[s, e)`` into the caller's ``y`` **in strictly
-increasing element order**, so the per-span partials the executor reduces
-in task order are the same floats the serial loop produces.  All per-element
-scratch (gathered velocities, the sum-factorization stage buffers,
-reference gradients, reference fluxes) lives on the C stack: no
-``C``/``g``/``t`` chunk temporaries are ever allocated.
+``tc_apply(cpk, conn, bh, dh, u, y, s, e, off, ny)`` zeroes the caller's
+window ``y`` -- ``ny`` values holding global dofs ``[off, off + ny)``, the
+span's node planes (:func:`~repro.parallel.executor.span_window`) -- and
+accumulates the viscous contributions of elements ``[s, e)`` into it **in
+strictly increasing element order**.  The offset is an explicit argument
+(dof ``d`` lands in ``y[d - off]``), so every engine reduces the same
+per-span partials in span order; zeroing inside the kernel keeps that
+pass outside the interpreter lock.  All per-element scratch (gathered
+velocities, the sum-factorization stage buffers, reference gradients,
+reference fluxes) lives on the C stack: no ``C``/``g``/``t`` chunk
+temporaries are ever allocated.
 
 The reference gradient is sum-factorized (paper Eq. 19): ``bh``/``dh`` are
 the 3x3 one-dimensional basis and derivative matrices ``B^``/``D^``, and
@@ -59,8 +63,11 @@ KERNEL_SOURCE = r"""
  * conn : (nel, 27) element-to-node map (int64), nodes x-fastest.
  * bh,dh: (3, 3) 1D basis / derivative values B^[q][a], D^[q][a].
  * u    : (nnodes*3,) interleaved input velocities.
- * y    : (nnodes*3,) output accumulator (caller zeroes the span partial).
+ * y    : output window holding global dofs [off, off + ny) (the span
+ *        partial), zeroed here first.
  * s, e : element half-open range, accumulated in element order.
+ * off  : global dof index of y[0]; dof d accumulates into y[d - off].
+ * ny   : length of the window.
  *
  * The reference gradient g[q][c][d] = du_c/dxi_d is three passes of 3x3
  * one-dimensional contractions (Eq. 19): along z with B^ and D^, along y,
@@ -73,8 +80,10 @@ void tc_apply(const double *restrict cpk,
               const double *restrict dh,
               const double *restrict u,
               double *restrict y,
-              int64_t s, int64_t e)
+              int64_t s, int64_t e, int64_t off, int64_t ny)
 {
+    for (int64_t i = 0; i < ny; ++i)
+        y[i] = 0.0;
     double B[3][3], D[3][3];
     for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 3; ++j) {
@@ -230,7 +239,7 @@ void tc_apply(const double *restrict cpk,
                             + d2 * y1[2][i];
         }
         for (int a = 0; a < 27; ++a) {
-            double *yn = y + 3 * cn[a];
+            double *yn = y + (3 * cn[a] - off);
             const double *src = &ye[a / 9][3 * (a % 9)];
             yn[0] += src[0];
             yn[1] += src[1];
@@ -293,6 +302,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,  # y
         ctypes.c_int64,   # s
         ctypes.c_int64,   # e
+        ctypes.c_int64,   # off
+        ctypes.c_int64,   # ny
     ]
     return lib
 

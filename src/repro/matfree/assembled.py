@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fem import assembly
-from ..parallel.executor import partition_range
+from ..parallel.executor import ParallelCSRMatVec
 from .base import ViscousOperatorBase
 
 
@@ -25,29 +25,15 @@ class AssembledOperator(ViscousOperatorBase):
         self.matrix = assembly.assemble_viscous(
             mesh, self.eta_q, self.quad, executor=self._executor
         )
-        if self._executor is not None:
-            # row-partitioned SpMV: each output row is one dot product
-            # computed by exactly one task, so concatenating the blocks is
-            # bit-identical to the full matvec.  Blocks are sliced eagerly
-            # so forked ranks inherit them.
-            self._row_spans = partition_range(self.ndof, self._executor.workers)
-            self._row_sizes = [e - s for s, e in self._row_spans]
-            self._row_blocks = {(s, e): self.matrix[s:e] for s, e in self._row_spans}
-
-    def _apply_rows(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        return self._row_blocks[(s, e)] @ u
+        # row-split SpMV through the engine; every row is one dot product,
+        # so any split gives the bits of ``matrix @ u``
+        self._spmv = (ParallelCSRMatVec(self.matrix, self._executor)
+                      if self._executor is not None else None)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        if self._executor is None:
+        if self._spmv is None:
             return self.matrix @ u
-        self._before_apply()
-        return self._executor.dispatch(
-            self, "_apply_rows", self._row_spans, u,
-            sizes=self._row_sizes, mode="concat",
-        )
-
-    def apply_serial(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
+        return self._spmv(u)
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()

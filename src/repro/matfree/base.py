@@ -9,7 +9,13 @@ import numpy as np
 from ..fem.quadrature import GaussQuadrature
 from ..fem import assembly
 from ..obs import registry as _obs
-from ..parallel.executor import ParallelExecutor, make_executor, partition_elements
+from ..parallel.executor import (
+    ParallelExecutor,
+    make_executor,
+    partition_elements,
+    run_spans,
+    span_window,
+)
 
 #: operators without their own Table I row borrow the closest kernel's
 #: analytic counts (the Newton apply is the tensor kernel plus a rank-one
@@ -20,11 +26,14 @@ _COUNT_ALIAS = {"newton": "tensor"}
 class ViscousOperatorBase:
     """Common state for ``v -> -div(2 eta D(v))`` on interleaved Q2 dofs.
 
-    Subclasses implement :meth:`_apply_elements` (the per-span kernel);
-    :meth:`apply` runs it over contiguous element slabs either inline or
-    through a :class:`~repro.parallel.executor.ParallelExecutor`.  The slab
-    structure and the task-ordered reduction are the same either way, so
-    the parallel result is bit-identical to :meth:`apply_serial`.
+    Subclasses implement :meth:`_apply_elements` (the per-span kernel,
+    returning the span's dof window only); :meth:`apply` runs it over the
+    mesh's element z-layers
+    (:func:`~repro.parallel.executor.partition_elements`) inline or
+    through a dispatch engine, and adds the windows into the output in
+    layer order.  The spans and the reduction order depend on
+    the mesh alone, so an apply gives the same bits serially and at any
+    worker or rank count.
 
     ``eta_q`` is the effective viscosity at the quadrature points, shape
     ``(nel, nq)`` -- in the full pipeline this is the MPM-projected field
@@ -70,9 +79,10 @@ class ViscousOperatorBase:
             3 * conn[:, :, None] + np.arange(3)[None, None, :]
         )  # (nel, nb, 3)
         self._executor = make_executor(workers, executor)
-        nparts = self._executor.workers if self._executor is not None else 1
-        #: contiguous element slabs, one per worker (the executor's tasks)
-        self._spans = partition_elements(mesh, nparts)
+        #: one element span per z-layer, fixed by the mesh
+        self._spans = partition_elements(mesh)
+        #: each span's dof window (the node planes its layer touches)
+        self._windows = [span_window(mesh, s, e) for s, e in self._spans]
         #: rank-snapshot staleness stamp (see repro.parallel.procomm):
         #: BOTH geometry and coefficient state, not just the mesh
         self._parallel_state_version = (mesh.coords_version, self.eta_version)
@@ -147,7 +157,8 @@ class ViscousOperatorBase:
         return self._executor
 
     def _apply_elements(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        """Contribution of elements ``[s, e)`` as a full ``(ndof,)`` vector."""
+        """Contribution of elements ``[s, e)`` to its dof window
+        :func:`~repro.parallel.executor.span_window` (``(hi - lo,)``)."""
         raise NotImplementedError
 
     def _before_apply(self) -> None:
@@ -159,21 +170,8 @@ class ViscousOperatorBase:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         self._before_apply()
-        if self._executor is not None:
-            return self._executor.dispatch(
-                self, "_apply_elements", self._spans, u,
-                out_len=self.ndof, mode="sum",
-            )
-        return ParallelExecutor.run_serial(
-            self, "_apply_elements", self._spans, u, mode="sum"
-        )
-
-    def apply_serial(self, u: np.ndarray) -> np.ndarray:
-        """The serial reference: identical span structure, run inline."""
-        self._before_apply()
-        return ParallelExecutor.run_serial(
-            self, "_apply_elements", self._spans, u, mode="sum"
-        )
+        return run_spans(self._executor, self, "_apply_elements",
+                         self._spans, u, self._windows)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         self.napplies += 1
@@ -234,10 +232,18 @@ class ViscousOperatorBase:
         """Element-local velocities ``(nel_chunk, nb, 3)``."""
         return u.reshape(-1, 3)[self.mesh.connectivity[s:e]]
 
-    def _scatter(self, ye: np.ndarray, s: int, e: int, out: np.ndarray) -> None:
-        """Accumulate element contributions into the global vector."""
+    def _window_zeros(self, s: int, e: int) -> tuple[np.ndarray, int]:
+        """A zeroed partial for span ``[s, e)`` and its window offset."""
+        lo, hi = span_window(self.mesh, s, e)
+        return np.zeros(hi - lo), lo
+
+    def _scatter(self, ye: np.ndarray, s: int, e: int, out: np.ndarray,
+                 lo: int) -> None:
+        """Accumulate element contributions into a window starting at dof
+        ``lo``."""
         out += np.bincount(
-            self._edofs[s:e].ravel(), weights=ye.ravel(), minlength=self.ndof
+            self._edofs[s:e].ravel() - lo, weights=ye.ravel(),
+            minlength=out.size,
         )
 
     def _chunks(self):

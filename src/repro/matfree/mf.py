@@ -27,7 +27,7 @@ class MFOperator(ViscousOperatorBase):
         self._dN = mesh.basis.grad(self.quad.points)  # (nq, nb, 3)
 
     def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
-        y = np.zeros(self.ndof)
+        y, lo = self._window_zeros(s0, e0)
         coords = self.mesh.coords
         conn = self.mesh.connectivity
         w = self.quad.weights
@@ -43,5 +43,5 @@ class MFOperator(ViscousOperatorBase):
             D = 0.5 * (H + H.transpose(0, 1, 3, 2))
             tau = (2.0 * self.eta_q[s:e] * wdet)[:, :, None, None] * D
             ye = np.einsum("nqad,nqcd->nac", G, tau, optimize=True)
-            self._scatter(ye, s, e, y)
+            self._scatter(ye, s, e, y, lo)
         return y

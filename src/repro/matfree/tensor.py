@@ -118,19 +118,20 @@ class TensorOperator(ViscousOperatorBase):
         H = np.einsum("nqcd,nqde->nqce", g, Jinv, optimize=True)
         return H, Jinv, wdet
 
-    def _residual_stage(self, tau, Jinv, s, e, y):
-        """Pull stress back to reference space, adjoint-contract, scatter."""
+    def _residual_stage(self, tau, Jinv, s, e, y, lo):
+        """Pull stress back to reference space, adjoint-contract, scatter
+        into the window ``y`` starting at dof ``lo``."""
         t = np.einsum("nqce,nqde->nqcd", tau, Jinv, optimize=True)
         ye = adjoint_gradient(self.B_hat, self.D_hat, t, self._DK)
-        self._scatter(ye.reshape(e - s, 27, 3), s, e, y)
+        self._scatter(ye.reshape(e - s, 27, 3), s, e, y, lo)
 
     def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
-        y = np.zeros(self.ndof)
+        y, lo = self._window_zeros(s0, e0)
         for s, e in self._sub_chunks(s0, e0):
             H, Jinv, wdet = self._strain_stage(u, s, e)
             D = 0.5 * (H + H.transpose(0, 1, 3, 2))
             tau = (2.0 * self.eta_q[s:e] * wdet)[:, :, None, None] * D
-            self._residual_stage(tau, Jinv, s, e, y)
+            self._residual_stage(tau, Jinv, s, e, y, lo)
         return y
 
 
@@ -165,7 +166,7 @@ class NewtonTensorOperator(TensorOperator):
         self.eta_prime_q = np.asarray(eta_prime_q, dtype=np.float64)
 
     def _apply_elements(self, w: np.ndarray, s0: int, e0: int) -> np.ndarray:
-        y = np.zeros(self.ndof)
+        y, lo = self._window_zeros(s0, e0)
         for s, e in self._sub_chunks(s0, e0):
             H, Jinv, wdet = self._strain_stage(w, s, e)
             Dw = 0.5 * (H + H.transpose(0, 1, 3, 2))
@@ -176,5 +177,5 @@ class NewtonTensorOperator(TensorOperator):
             tau += (
                 2.0 * self.eta_prime_q[s:e] * wdet * DuDw
             )[:, :, None, None] * Du
-            self._residual_stage(tau, Jinv, s, e, y)
+            self._residual_stage(tau, Jinv, s, e, y, lo)
         return y

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..parallel.executor import span_window
 from . import _ckernel
 from .tensor import TensorOperator, forward_gradient, adjoint_gradient
 
@@ -107,6 +108,15 @@ class TensorCOperator(TensorOperator):
         self._conn64 = np.ascontiguousarray(mesh.connectivity, dtype=np.int64)
         self._B_c = np.ascontiguousarray(self.B_hat, dtype=np.float64)
         self._D_c = np.ascontiguousarray(self.D_hat, dtype=np.float64)
+        self._pin_kernel_inputs()
+
+    def _pin_kernel_inputs(self) -> None:
+        """Raw pointers of the kernel's fixed inputs, taken once per
+        coefficient build rather than once per span call."""
+        self._kernel_inputs = (
+            self._C.ctypes.data, self._conn64.ctypes.data,
+            self._B_c.ctypes.data, self._D_c.ctypes.data,
+        )
 
     @property
     def compiled(self) -> bool:
@@ -141,6 +151,7 @@ class TensorCOperator(TensorOperator):
         if key != self._coeff_key:
             self._C = self._build_coefficient_tensor()
             self._coeff_key = key
+            self._pin_kernel_inputs()
 
     def _apply_packed_chunk(self, g: np.ndarray, s: int, e: int) -> np.ndarray:
         """Reference flux ``t = g S + w (K g K)^T`` for one chunk."""
@@ -155,15 +166,16 @@ class TensorCOperator(TensorOperator):
         return t
 
     def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
-        y = np.zeros(self.ndof)
         if self._lib is not None:
+            lo, hi = span_window(self.mesh, s0, e0)
+            y = np.empty(hi - lo)  # the kernel zeroes its window
             u = np.ascontiguousarray(u, dtype=np.float64)
             self._lib.tc_apply(
-                self._C.ctypes.data, self._conn64.ctypes.data,
-                self._B_c.ctypes.data, self._D_c.ctypes.data,
-                u.ctypes.data, y.ctypes.data, int(s0), int(e0),
+                *self._kernel_inputs, u.ctypes.data, y.ctypes.data,
+                int(s0), int(e0), int(lo), int(hi - lo),
             )
             return y
+        y, lo = self._window_zeros(s0, e0)
         for s, e in self._sub_chunks(s0, e0):
             ue = u.reshape(-1, 3)[self.mesh.connectivity[s:e]]
             g = forward_gradient(
@@ -171,5 +183,5 @@ class TensorCOperator(TensorOperator):
             )
             t = self._apply_packed_chunk(g, s, e)
             ye = adjoint_gradient(self.B_hat, self.D_hat, t, self._DK)
-            self._scatter(ye.reshape(e - s, 27, 3), s, e, y)
+            self._scatter(ye.reshape(e - s, 27, 3), s, e, y, lo)
         return y

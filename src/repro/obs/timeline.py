@@ -22,9 +22,9 @@ while disarmed the registry's span sink is ``None`` and every hot path
 stays a single test.  Spans only accumulate while profiling is enabled
 (the ``timed``/``stage`` context managers are no-ops otherwise).
 
-Worker ranks are the executor's **task indices** -- the same virtual
-subdomain ranks the :class:`~repro.parallel.decomposition.BlockDecomposition`
-slabs correspond to -- so they are deterministic for any worker count;
+Worker ranks are the executor's **task indices** -- one task per worker,
+each holding a contiguous group of the mesh's element layers -- so they
+are deterministic for any worker count;
 the master thread records under rank ``-1`` (rendered as ``main``).  The
 executor's workers are threads of the master process, so they append
 into the shared rings directly, on the master's clock.

@@ -19,8 +19,8 @@ Two communicators share one surface:
   (:mod:`repro.parallel.distributed`) asserted bit-identical to the
   oracle's.  It is the package's only process runtime.
 
-Inside one process, :class:`ParallelExecutor` fans element slabs out to
-threads (:mod:`repro.parallel.executor`).
+Inside one process, :class:`ParallelExecutor` fans the mesh's element
+layers out to threads (:mod:`repro.parallel.executor`).
 """
 
 from .comm import CommStats, VirtualComm, tree_reduce
@@ -39,6 +39,7 @@ from .executor import (
     partition_elements,
     partition_range,
     resolve_workers,
+    span_window,
     use_executor,
 )
 from .halo import (
@@ -81,6 +82,7 @@ __all__ = [
     "reduction_count",
     "resolve_workers",
     "run_sinker_distributed",
+    "span_window",
     "tree_reduce",
     "use_executor",
     "validate_decomposition_compat",

@@ -14,16 +14,22 @@ Two engines satisfy the executor dispatch contract
     is re-snapshotted by a cohort respawn.
 
 :class:`VirtualRankEngine`
-    The single-process **oracle**: the identical span partition, kernels,
-    dot partials (:func:`~repro.parallel.procomm.span_dot`), reduction
-    order, and :class:`~repro.parallel.comm.CommStats` accounting,
-    executed inline over a :class:`~repro.parallel.comm.VirtualComm`.
+    The single-process **oracle**: the identical spans, kernels, dot
+    partials (:func:`~repro.parallel.procomm.span_dot`), reduction order,
+    and :class:`~repro.parallel.comm.CommStats` accounting, executed
+    inline over a :class:`~repro.parallel.comm.VirtualComm`.
 
-Because every partial is computed by exactly one rank from the same
-inputs, reduced in task order (operator applies) or over the fixed
-binary tree (dot products, :func:`~repro.parallel.comm.tree_reduce`),
-the two engines produce **bit-identical** solves -- that is the equality
-CI asserts, clean and across an injected rank kill.
+Neither engine chooses how the work is split.  Operator applies run over
+the mesh-fixed element spans of
+:func:`~repro.parallel.executor.partition_elements` (each rank owns a
+contiguous group of them) and reduce the windowed partials in span order
+(:func:`~repro.parallel.executor.reduce_windows`); dot products split
+into fixed chunks of :data:`DOT_CHUNK` entries and sum the chunk partials
+over the fixed binary tree (:func:`~repro.parallel.comm.tree_reduce`).
+So a solve under either engine, at any rank count, is **bit-identical**
+to the inline serial solve -- apart from CG's inner products, which run
+``a @ b`` when no engine dot is armed (see
+:func:`~repro.solvers.krylov.use_dot`).
 
 :func:`run_sinker_distributed` is the end-to-end driver: it runs the
 sinker time loop under either engine, writes a collective-consistent
@@ -47,30 +53,37 @@ from .comm import VirtualComm, tree_reduce
 from .decomposition import BlockDecomposition
 from .executor import (
     ExecutorStats,
-    ParallelExecutor,
+    _check_windows,
     partition_range,
+    reduce_windows,
     use_executor,
 )
 from .procomm import CommError, ProcessComm, _register_state, span_dot
 
 __all__ = [
+    "DOT_CHUNK",
     "ProcommEngine",
     "VirtualRankEngine",
     "run_sinker_distributed",
 ]
 
 
+#: entries per dot-product chunk: the chunking, and so the reduction
+#: tree, is fixed by the vector length, never by the rank count
+DOT_CHUNK = 4096
+
+
 def _account_dispatch(comm, ntasks: int, nbytes_in: int,
                       nbytes_out: int) -> None:
     """Comm-stats accounting of one engine dispatch, shared by both
     engines so the oracle's ``comm.*`` gauges match the real transport's:
-    one input-vector broadcast plus one partial slab back per task."""
+    one input-vector broadcast plus one reply per rank task."""
     comm.stats.messages += ntasks + 1
     comm.stats.bytes += nbytes_in + nbytes_out
 
 
 def _account_dot(comm, ntasks: int, nbytes: int) -> None:
-    """One distributed dot: a partial per rank, one tree reduction."""
+    """One distributed dot: a reply per rank task, one tree reduction."""
     comm.stats.messages += ntasks
     comm.stats.bytes += nbytes
     comm.stats.reductions += 1
@@ -87,52 +100,53 @@ class _RankEngineBase:
 
     # -- distributed dot ------------------------------------------------- #
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Distributed inner product: per-rank partials, fixed-tree sum.
+        """Distributed inner product: chunk partials, fixed-tree sum.
 
-        Each rank computes :func:`span_dot` over its contiguous slab; the
-        partials are combined with :func:`tree_reduce` over the
-        rank-indexed list, so the result is bitwise-stable for any rank
-        count and any reply arrival order.
+        The vectors split into chunks of :data:`DOT_CHUNK` entries; each
+        rank computes :func:`span_dot` over a contiguous group of chunks,
+        and the chunk partials are combined with :func:`tree_reduce` in
+        chunk order.  The chunks do not depend on the rank count, so the
+        result is bitwise-equal for any rank count and any reply arrival
+        order.
         """
         x = np.ascontiguousarray(x, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.float64)
-        spans = partition_range(x.size, self.workers)
+        chunks = [(s, min(s + DOT_CHUNK, x.size))
+                  for s in range(0, x.size, DOT_CHUNK)] or [(0, 0)]
+        groups = partition_range(len(chunks), self.workers)
         with _obs.timed("CommDot", nbytes=x.nbytes + y.nbytes, cat="comm"):
-            partials = self._dot_partials(x, y, spans)
-            _account_dot(self.comm, len(spans), x.nbytes + y.nbytes)
+            partials = self._dot_partials(x, y, chunks, groups)
+            _account_dot(self.comm, len(groups), x.nbytes + y.nbytes)
             return float(tree_reduce(partials, "sum"))
 
     # -- dispatch contract ----------------------------------------------- #
     def dispatch(self, state, method: str, spans, u: np.ndarray,
-                 out_len: int | None = None, sizes: list | None = None,
-                 mode: str = "sum") -> np.ndarray:
+                 windows) -> np.ndarray:
         """Fan ``getattr(state, method)(u, s, e)`` over the ranks; reduce.
 
         Same semantics and determinism contract as
-        :meth:`ParallelExecutor.dispatch`: partials are reduced in task
-        order, bit-identical to the serial reference for any rank count.
+        :meth:`ParallelExecutor.dispatch`: each rank evaluates a
+        contiguous group of the given spans, and the windowed partials
+        are reduced in span order, bit-identical to the inline result for
+        any rank count.
         """
-        if mode not in ("sum", "concat"):
-            raise ValueError(f"mode must be 'sum' or 'concat', got {mode!r}")
-        if mode == "sum":
-            if out_len is None:
-                raise ValueError("mode='sum' requires out_len")
-            sizes = [int(out_len)] * len(spans)
-        elif sizes is None or len(sizes) != len(spans):
-            raise ValueError("mode='concat' requires sizes, one per span")
+        _check_windows(spans, windows)
         u = np.ascontiguousarray(u, dtype=np.float64)
+        sizes = [int(hi - lo) for lo, hi in windows]
+        groups = partition_range(len(spans), self.workers)
         nbytes_out = 8 * int(sum(sizes))
         with _obs.timed("CommHaloExchange", nbytes=u.nbytes + nbytes_out,
                         cat="comm"):
-            partials = self._span_partials(state, method, spans, u, sizes)
+            partials = self._span_partials(state, method, spans, groups, u,
+                                           sizes)
             t0 = time.perf_counter()
-            out = ParallelExecutor._reduce(partials, mode)
+            out = reduce_windows(partials, windows)
             self.stats.reduce_seconds += time.perf_counter() - t0
         self.stats.dispatches += 1
-        self.stats.tasks += len(spans)
+        self.stats.tasks += len(groups)
         self.stats.bytes_in += u.nbytes
         self.stats.bytes_out += nbytes_out
-        _account_dispatch(self.comm, len(spans), u.nbytes, nbytes_out)
+        _account_dispatch(self.comm, len(groups), u.nbytes, nbytes_out)
         return out
 
     def shutdown(self) -> None:  # symmetry with ParallelExecutor
@@ -142,18 +156,18 @@ class _RankEngineBase:
 class VirtualRankEngine(_RankEngineBase):
     """The sequential oracle engine over a :class:`VirtualComm`.
 
-    Executes the exact rank partition inline -- same spans, same kernels,
-    same reduction order, same accounting -- so a run under this engine
-    is the bit-exactness reference for :class:`ProcommEngine`.
+    Executes the rank groups inline -- same spans, same kernels, same
+    reduction order, same accounting -- so a run under this engine is the
+    bit-exactness reference for :class:`ProcommEngine`.
     """
 
     def __init__(self, comm: VirtualComm | None = None, size: int = 2):
         super().__init__(comm if comm is not None else VirtualComm(size))
 
-    def _dot_partials(self, x, y, spans):
-        return [span_dot(x, y, s, e) for s, e in spans]
+    def _dot_partials(self, x, y, chunks, groups):
+        return [span_dot(x, y, s, e) for s, e in chunks]
 
-    def _span_partials(self, state, method, spans, u, sizes):
+    def _span_partials(self, state, method, spans, groups, u, sizes):
         fn = getattr(state, method)
         partials = []
         for s, e in spans:
@@ -169,11 +183,11 @@ class ProcommEngine(_RankEngineBase):
     :class:`ProcessComm`.
 
     Data path per dispatch: the input vector is written once into the
-    communicator's input shared-memory block; one ``span`` op per task is
-    posted round-robin to the ranks; every rank writes its partial into
-    its own disjoint slab of the output block; the master reduces the
-    slabs in task order.  State objects reach the ranks by fork
-    inheritance (the ``_FORK_REGISTRY`` snapshot of
+    communicator's input shared-memory block; one ``span`` op per rank
+    carries that rank's contiguous group of spans; every rank writes each
+    span's partial into its own disjoint slab of the output block; the
+    master reduces the slabs in span order.  State objects reach the
+    ranks by fork inheritance (the ``_FORK_REGISTRY`` snapshot of
     :mod:`~repro.parallel.procomm`): a ``(token, version)`` pair the live
     cohort has not snapshotted triggers a cohort respawn.
     """
@@ -181,32 +195,29 @@ class ProcommEngine(_RankEngineBase):
     def __init__(self, comm: ProcessComm):
         super().__init__(comm)
 
-    def _rank_of(self, task: int) -> int:
-        return task % self.comm.size
-
     def _ensure_snapshot(self, token: int, version) -> None:
         if (token, version) not in self.comm.snapshot_known:
             self.comm.respawn()
             self.stats.respawns += 1
 
-    def _dot_partials(self, x, y, spans):
+    def _dot_partials(self, x, y, chunks, groups):
         comm = self.comm
         n = x.size
         comm.shm_in.ensure(16 * max(n, 1))
         comm.shm_in.view(n)[:] = x
         comm.shm_in.view(n, offset=n)[:] = y
         seqs = [
-            (self._rank_of(i),
-             comm._post(self._rank_of(i), "dot", n=n,
-                        in_shm=comm.shm_in.name, s=int(s), e=int(e)))
-            for i, (s, e) in enumerate(spans)
+            (r, comm._post(r, "dot", n=n, in_shm=comm.shm_in.name,
+                           chunks=[[int(s), int(e)]
+                                   for s, e in chunks[g0:g1]]))
+            for r, (g0, g1) in enumerate(groups)
         ]
         # JSON round-trips float64 exactly (repr), so the partials arrive
         # bit-identical to the worker-side span_dot results
-        return [float(comm._wait(r, seq, "dot")["value"])
-                for r, seq in seqs]
+        return [float(v) for r, seq in seqs
+                for v in comm._wait(r, seq, "dot")["values"]]
 
-    def _span_partials(self, state, method, spans, u, sizes,
+    def _span_partials(self, state, method, spans, groups, u, sizes,
                        _retry: bool = True):
         comm = self.comm
         token = _register_state(state)
@@ -218,13 +229,14 @@ class ProcommEngine(_RankEngineBase):
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         comm.shm_out.ensure(8 * int(offsets[-1]))
         seqs = [
-            (self._rank_of(i),
-             comm._post(self._rank_of(i), "span", token=token,
-                        version=version, method=method, s=int(s), e=int(e),
-                        in_shm=comm.shm_in.name, n_in=int(n_in),
-                        out_shm=comm.shm_out.name,
-                        out_off=int(offsets[i]), out_size=int(sizes[i])))
-            for i, (s, e) in enumerate(spans)
+            (r, comm._post(r, "span", token=token, version=version,
+                           method=method,
+                           spans=[[int(s), int(e)] for s, e in spans[g0:g1]],
+                           in_shm=comm.shm_in.name, n_in=int(n_in),
+                           out_shm=comm.shm_out.name,
+                           out_offs=[int(o) for o in offsets[g0:g1]],
+                           out_sizes=[int(z) for z in sizes[g0:g1]]))
+            for r, (g0, g1) in enumerate(groups)
         ]
         stale = False
         for r, seq in seqs:
@@ -244,8 +256,8 @@ class ProcommEngine(_RankEngineBase):
                     "stale even after a cohort respawn"
                 )
             self._ensure_snapshot(token, version)
-            return self._span_partials(state, method, spans, u, sizes,
-                                       _retry=False)
+            return self._span_partials(state, method, spans, groups, u,
+                                       sizes, _retry=False)
         return [comm.shm_out.view(int(sizes[i]), int(offsets[i]))
                 for i in range(len(spans))]
 

@@ -6,16 +6,15 @@ disjoint *element* contributions, with conflicts only at the scatter.  This
 module supplies the intranode analogue of the paper's per-rank element
 loop:
 
-* elements are partitioned into contiguous slabs via the existing
-  :class:`~repro.parallel.decomposition.BlockDecomposition` (a ``(1, 1, p)``
-  split of the structured grid -- the element index is x-fastest, so each
-  subdomain is one contiguous index range);
-* slabs are fanned out to a persistent ``ThreadPoolExecutor``, one thread
-  per worker; one worker runs inline with no pool at all;
-* the scatter is race-free by construction: every task accumulates into its
-  **own** output buffer and the master reduces the partials **in task
-  order**, so the floating-point addition chain is exactly the one the
-  serial path executes and results match serial bit for bit.
+* the element partition is a property of the mesh alone:
+  :func:`partition_elements` returns one span per element z-layer (the
+  element index is x-fastest, so a layer is one contiguous index range),
+  whatever the worker or rank count;
+* each span's partial covers only its own dof window
+  (:func:`span_window`): the node planes its layer touches;
+* spans are fanned out to a persistent ``ThreadPoolExecutor``, one task
+  per worker holding a contiguous group of spans; one worker runs inline
+  with no pool at all.
 
 Memory model
 ------------
@@ -28,15 +27,18 @@ isolation -- lives in one place, :mod:`repro.parallel.procomm`.
 
 Determinism contract
 --------------------
-``dispatch(state, method, spans, u)`` computes
+``run_spans(executor, state, method, spans, u, windows)`` computes
 
-    ``result = partial(spans[0]) + partial(spans[1]) + ...``  (left to right)
+    ``out = 0;  out[windows[i]] += partial(spans[i])``  for i = 0, 1, ...
 
-where ``partial(s, e) = getattr(state, method)(u, s, e)``.  The serial
-reference :meth:`ParallelExecutor.run_serial` evaluates the identical
-expression inline, hence ``np.array_equal`` between the two holds for any
-worker count (the kernels themselves are dot-reduction-free; each partial
-is computed by exactly one task).
+where ``partial(s, e) = getattr(state, method)(u, s, e)`` covers window
+``i`` only.  Every engine -- inline (no executor, or one worker), the
+thread pool, and both rank engines of :mod:`repro.parallel.distributed`
+-- evaluates the same spans and adds the windows in span order with the
+placement step of :func:`reduce_windows`.  With the spans fixed by the
+mesh there is one reduction order, so serial is the reference and every
+worker and rank count gives the same bits (the kernels themselves are
+dot-reduction-free; each partial is computed by exactly one task).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import numpy as np
 
 from ..obs import metrics as _metrics
 from ..obs import registry as _obs
-from .decomposition import BlockDecomposition
 
 __all__ = [
     "ExecutorStats",
@@ -60,7 +61,10 @@ __all__ = [
     "make_executor",
     "partition_elements",
     "partition_range",
+    "reduce_windows",
     "resolve_workers",
+    "run_spans",
+    "span_window",
     "use_executor",
 ]
 
@@ -124,27 +128,81 @@ def partition_range(n: int, nparts: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(nparts)]
 
 
-def partition_elements(mesh, nparts: int) -> list[tuple[int, int]]:
-    """Contiguous element slabs from a ``(1, 1, p)`` block decomposition.
+def partition_elements(mesh) -> list[tuple[int, int]]:
+    """The canonical element partition: one span per element z-layer.
 
-    The element index is x-fastest (``ex + M*(ey + N*ez)``), so splitting
-    only the slowest (z) dimension makes every subdomain one contiguous
-    index range ``[M*N*bz[k], M*N*bz[k+1])`` -- the executor's unit of work.
-    Falls back to a plain index split when the mesh has fewer element
-    layers than parts.
+    The element index is x-fastest (``ex + M*(ey + N*ez)``), so layer
+    ``k`` is the contiguous index range ``[M*N*k, M*N*(k+1))``.  The
+    partition depends on the mesh only -- never on the worker or rank
+    count -- which is what makes every engine reduce in the same order.
     """
     M, N, P = mesh.shape
-    nparts = max(1, int(nparts))
-    if nparts == 1:
-        return [(0, mesh.nel)]
-    if nparts > P:
-        return partition_range(mesh.nel, nparts)
-    decomp = BlockDecomposition(mesh, (1, 1, nparts))
     layer = M * N
-    return [
-        (int(layer * decomp.bz[k]), int(layer * decomp.bz[k + 1]))
-        for k in range(nparts)
-    ]
+    return [(layer * k, layer * (k + 1)) for k in range(P)]
+
+
+def span_window(mesh, s: int, e: int) -> tuple[int, int]:
+    """The dof window ``[lo, hi)`` touched by elements ``[s, e)``.
+
+    Element layers ``k0 .. k1-1`` touch node planes ``order*k0 ..
+    order*k1`` and nodes are x-fastest, so the window is
+    ``[3*nnx*nny*order*k0, 3*nnx*nny*(order*k1 + 1))``.
+    """
+    M, N, _ = mesh.shape
+    nnx, nny, _ = mesh.nodes_per_dim
+    plane = 3 * nnx * nny
+    layer = M * N
+    k0, k1 = s // layer, -(-e // layer)
+    return plane * mesh.order * k0, plane * (mesh.order * k1 + 1)
+
+
+def _check_windows(spans, windows) -> None:
+    if len(windows) != len(spans):
+        raise ValueError("windows must give one (lo, hi) per span")
+
+
+def reduce_windows(partials, windows) -> np.ndarray:
+    """Add the span partials into the output, in span order.
+
+    Partial ``i`` lands in ``out[lo_i:hi_i]``: added where an earlier
+    window already reached (adjacent element layers share a node plane),
+    copied where none did -- what adding to a zeroed output gives, minus
+    the zeroing pass (only the sign of a zero can differ).  Disjoint
+    windows (row blocks, element-value blocks) therefore concatenate;
+    entries no window reaches are zero.
+    """
+    out = np.empty(max((hi for _, hi in windows), default=0))
+    top = 0
+    for p, (lo, hi) in zip(partials, windows):
+        top = _place(out, top, p, lo, hi)
+    return out
+
+
+def _place(out, top: int, p, lo: int, hi: int) -> int:
+    """One step of :func:`reduce_windows`: ``out[:top]`` holds values on
+    entry; returns the new ``top``."""
+    if lo > top:
+        out[top:lo] = 0.0
+    mid = min(max(lo, top), hi)
+    out[lo:mid] += p[:mid - lo]
+    out[mid:hi] = p[mid - lo:]
+    return max(top, hi)
+
+
+def run_spans(executor, state, method: str, spans, u: np.ndarray,
+              windows) -> np.ndarray:
+    """Evaluate ``getattr(state, method)(u, s, e)`` over ``spans`` and
+    reduce the partials in span order (:func:`reduce_windows`).
+
+    Runs inline when ``executor`` is ``None``, else through
+    ``executor.dispatch`` -- the same spans and the same reduction either
+    way, so the result does not depend on the engine.
+    """
+    if executor is not None:
+        return executor.dispatch(state, method, spans, u, windows)
+    _check_windows(spans, windows)
+    fn = getattr(state, method)
+    return reduce_windows([fn(u, s, e) for s, e in spans], windows)
 
 
 class ParallelExecutor:
@@ -180,57 +238,36 @@ class ParallelExecutor:
         method: str,
         spans: list[tuple[int, int]],
         u: np.ndarray,
-        out_len: int | None = None,
-        sizes: list[int] | None = None,
-        mode: str = "sum",
+        windows: list[tuple[int, int]],
     ) -> np.ndarray:
         """Fan ``getattr(state, method)(u, s, e)`` over ``spans``; reduce.
 
-        ``mode="sum"``: every task returns ``(out_len,)``; the result is
-        the task-ordered sum.  ``mode="concat"``: task ``i`` returns
-        ``(sizes[i],)``; the result is the concatenation (row-partitioned
-        matvec).  Either way the reduction order is deterministic and
-        bit-identical to :meth:`run_serial`.
+        Partial ``i`` covers ``windows[i]``; the partials are added in
+        span order exactly as :func:`reduce_windows` adds them.  Each
+        worker runs one task holding a contiguous group of spans, so the
+        grouping never touches the reduction order and the result is the
+        inline one, bit for bit.
         """
-        if mode not in ("sum", "concat"):
-            raise ValueError(f"mode must be 'sum' or 'concat', got {mode!r}")
-        if mode == "sum":
-            if out_len is None:
-                raise ValueError("mode='sum' requires out_len")
-            sizes = [int(out_len)] * len(spans)
-        elif sizes is None or len(sizes) != len(spans):
-            raise ValueError("mode='concat' requires sizes, one per span")
+        _check_windows(spans, windows)
         u = np.ascontiguousarray(u, dtype=np.float64)
-        if self.workers == 1 or len(spans) == 1:
-            return self.run_serial(state, method, spans, u, sizes, mode)
+        groups = partition_range(len(spans), self.workers)
+        if len(groups) == 1:
+            return run_spans(None, state, method, spans, u, windows)
         self._tl = _timeline().armed()
         self._dispatch_id = self.stats.dispatches
-        nbytes_out = 8 * int(sum(sizes))
+        nbytes_out = 8 * int(sum(hi - lo for lo, hi in windows))
         with _obs.timed("ParExecDispatch", nbytes=u.nbytes + nbytes_out):
-            result = self._dispatch_threads(state, method, spans, u, mode)
+            out = self._run_groups(state, method, spans, groups, u, windows)
         self.stats.dispatches += 1
-        self.stats.tasks += len(spans)
+        self.stats.tasks += len(groups)
         self.stats.bytes_in += u.nbytes
         self.stats.bytes_out += nbytes_out
-        return result
-
-    @staticmethod
-    def run_serial(state, method, spans, u, sizes=None, mode="sum"):
-        """The serial reference: identical task structure, run inline."""
-        fn = getattr(state, method)
-        partials = [fn(u, s, e) for s, e in spans]
-        return ParallelExecutor._reduce(partials, mode)
-
-    @staticmethod
-    def _reduce(partials, mode):
-        if mode == "concat":
-            return np.concatenate(partials)
-        out = partials[0].copy()
-        for p in partials[1:]:
-            out += p
         return out
 
-    def _dispatch_threads(self, state, method, spans, u, mode):
+    def _run_groups(self, state, method, spans, groups, u, windows):
+        """Run one task per span group on the pool and add each group's
+        partials into the output as soon as it arrives, in span order
+        (the master reduces group ``i`` while later groups still run)."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers,
@@ -239,75 +276,71 @@ class ParallelExecutor:
         fn = getattr(state, method)
         tl, disp = self._tl, self._dispatch_id
 
-        def task(rank, s, e, t_submit):
+        def task(rank, g0, g1, t_submit):
             t0 = time.monotonic()
             tb = time.perf_counter()
             if tl is None:
-                p = fn(u, s, e)
+                ps = [fn(u, s, e) for s, e in spans[g0:g1]]
             else:
                 # label event spans captured inside the kernel with this
                 # task's rank, then record the task span itself
                 with tl.worker(rank, disp):
-                    p = fn(u, s, e)
+                    ps = [fn(u, s, e) for s, e in spans[g0:g1]]
             t1 = time.perf_counter()
             if tl is not None:
                 tl.record_task(method, rank, disp, tb, t1)
-            return p, t0 - t_submit, t1 - tb
+            return ps, t0 - t_submit, t1 - tb
 
         futures = [
-            self._pool.submit(task, i, s, e, time.monotonic())
-            for i, (s, e) in enumerate(spans)
+            self._pool.submit(task, i, g0, g1, time.monotonic())
+            for i, (g0, g1) in enumerate(groups)
         ]
-        partials, waits, busies = [], [], []
-        for fut in futures:
-            p, w, b = fut.result()
-            partials.append(p)
+        out = np.empty(max(hi for _, hi in windows))
+        top, reduce_s, waits, busies = 0, 0.0, [], []
+        for fut, (g0, g1) in zip(futures, groups):
+            ps, w, b = fut.result()
+            t0 = time.perf_counter()
+            with _obs.timed("ParExecReduce"):
+                for p, (lo, hi) in zip(ps, windows[g0:g1]):
+                    top = _place(out, top, p, lo, hi)
+            reduce_s += time.perf_counter() - t0
             waits.append(w)
             busies.append(b)
         wait, busy = float(sum(waits)), float(sum(busies))
         self.stats.queue_wait_seconds += wait
         self.stats.worker_busy_seconds += busy
-        _obs.log_event_seconds("ParExecQueueWait", wait, count=len(spans))
-        _obs.log_event_seconds("ParExecWorkerBusy", busy, count=len(spans))
+        self.stats.reduce_seconds += reduce_s
+        _obs.log_event_seconds("ParExecQueueWait", wait, count=len(groups))
+        _obs.log_event_seconds("ParExecWorkerBusy", busy, count=len(groups))
         if tl is not None:
             # busies arrive in task-submission order == worker-rank order,
             # so the straggler index note_dispatch records is the rank
             tl.note_dispatch(busies)
-        t0 = time.perf_counter()
-        with _obs.timed("ParExecReduce"):
-            out = self._reduce(partials, mode)
-        self.stats.reduce_seconds += time.perf_counter() - t0
         return out
 
 
 class ParallelCSRMatVec:
-    """Row-partitioned CSR matvec through a :class:`ParallelExecutor`.
+    """Row-partitioned CSR matvec through a dispatch engine.
 
     CSR row blocks are independent and each output row is one dot product
     computed by exactly one task, so the concatenated result is bit-
-    identical to ``A @ u``.  Used for the assembled (Galerkin) multigrid
-    levels, where the fine-level executor is already paid for.
+    identical to ``A @ u`` for any row split.  Used for the assembled
+    operator and the assembled (Galerkin) multigrid levels, where the
+    fine-level executor is already paid for.
     """
 
     def __init__(self, matrix, executor: ParallelExecutor):
         self.matrix = matrix.tocsr() if not hasattr(matrix, "indptr") else matrix
         self.executor = executor
         self.spans = partition_range(self.matrix.shape[0], executor.workers)
-        self._blocks = {
-            (s, e): self.matrix[s:e] for s, e in self.spans
-        }
-        self.sizes = [e - s for s, e in self.spans]
+        self._blocks = {(s, e): self.matrix[s:e] for s, e in self.spans}
 
     def _apply_rows(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        block = self._blocks.get((s, e))
-        if block is None:  # an engine that re-partitions the rows
-            block = self._blocks[(s, e)] = self.matrix[s:e]
-        return block @ u
+        return self._blocks[(s, e)] @ u
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.executor.dispatch(
-            self, "_apply_rows", self.spans, u,
-            sizes=self.sizes, mode="concat",
+            self, "_apply_rows", self.spans, u, self.spans,
         )
 
 

@@ -7,9 +7,10 @@ converts into communication time for Tables II/III.
 
 With the shared-memory executor (:mod:`repro.parallel.executor`) data
 *does* move per operator application -- the input vector is shipped to
-every worker and each worker ships a partial result back.  When an
-executor is passed, :func:`halo_exchange_plan` reports those **measured**
-byte volumes in place of the analytic ghost-layer estimate.
+every worker and each worker ships back the windowed partials of its
+element spans.  When an executor is passed, :func:`halo_exchange_plan`
+reports those **measured** byte volumes in place of the analytic
+ghost-layer estimate.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class ExchangeStats:
 def measured_exchange(executor) -> ExchangeStats | None:
     """Per-dispatch traffic actually moved by a :class:`ParallelExecutor`.
 
-    Each dispatch ships the input vector to the pool once and one partial
-    result slab back per task; returns the average per dispatch, or
+    Each dispatch ships the input vector to the pool once and one reply
+    per task back (the windowed partials of the task's element spans);
+    returns the average per dispatch, or
     ``None`` if the executor has not dispatched yet.
     """
     st = getattr(executor, "stats", None)

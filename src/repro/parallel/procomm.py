@@ -148,10 +148,10 @@ class ProcommConfig:
 
 
 def span_dot(x: np.ndarray, y: np.ndarray, s: int, e: int) -> float:
-    """One rank's partial of a distributed dot product.
+    """One chunk's partial of a distributed dot product.
 
     The **single** implementation used by both the rank worker and the
-    virtual oracle engine, so the per-rank partials -- and therefore the
+    virtual oracle engine, so the chunk partials -- and therefore the
     tree-reduced global dot -- cannot drift between the two by kernel
     choice or memory-alignment path.
     """
@@ -323,14 +323,14 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
                     u = np.ndarray((doc["n_in"],), dtype=np.float64,
                                    buffer=_attach_shm(doc["in_shm"]).buf)
                     u.flags.writeable = False
-                    out = np.ndarray(
-                        (doc["out_size"],), dtype=np.float64,
-                        buffer=_attach_shm(doc["out_shm"]).buf,
-                        offset=8 * doc["out_off"],
-                    )
-                    out[:] = getattr(state, doc["method"])(
-                        u, int(doc["s"]), int(doc["e"])
-                    )
+                    fn = getattr(state, doc["method"])
+                    out_buf = _attach_shm(doc["out_shm"]).buf
+                    for (s, e), off, size in zip(doc["spans"],
+                                                 doc["out_offs"],
+                                                 doc["out_sizes"]):
+                        out = np.ndarray((size,), dtype=np.float64,
+                                         buffer=out_buf, offset=8 * off)
+                        out[:] = fn(u, int(s), int(e))
                     reply["busy"] = time.perf_counter() - t0
             elif op == "dot":
                 n = int(doc["n"])
@@ -338,7 +338,8 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
                 x = np.ndarray((n,), dtype=np.float64, buffer=block.buf)
                 y = np.ndarray((n,), dtype=np.float64, buffer=block.buf,
                                offset=8 * n)
-                reply["value"] = span_dot(x, y, int(doc["s"]), int(doc["e"]))
+                reply["values"] = [span_dot(x, y, int(s), int(e))
+                                   for s, e in doc["chunks"]]
             elif op == "put_mail":
                 dropped = False
                 for f in list(faults):

@@ -120,7 +120,9 @@ class JobSpec:
     #: A scheduling hint like ``workers``: counts against the same core
     #: budget, may be shrunk under pressure, and is excluded from
     #: identity -- the distributed solve is bit-identical for any rank
-    #: count, so a shrunken grant never changes the answer.
+    #: count, so a shrunken grant never changes the answer (one caveat:
+    #: a grant of 1 runs serially, where CG inner products are ``a @ b``
+    #: rather than the engines' chunked tree; see ``use_dot``).
     ranks: int | None = None
     use_cache: bool = True
     #: deterministic job-level faults installed inside the worker

@@ -331,8 +331,10 @@ class Scheduler:
     def _grant_workers(self, record: JobRecord) -> int:
         """Workers granted to this launch: shrink under pressure, floor 1.
 
-        The executor is bit-identical for any worker count, so shrinking
-        a grant degrades throughput only -- never the answer and never
+        The element spans are fixed by the mesh and every engine reduces
+        them in the same order, so a job's result is bit-identical for
+        any grant.  Shrinking a grant degrades throughput only -- never
+        the answer, so cache hits and resumes stay bit-exact, and never
         admission (a saturated battery still runs every job, one worker
         at a time).
         """

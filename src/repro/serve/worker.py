@@ -212,8 +212,8 @@ def run_job(job_path: str) -> int:
         # rank-decomposed execution: the scheduler's grant arrives as
         # $REPRO_PROCOMM_RANKS; >= 2 routes every operator dispatch and
         # CG reduction of this job through real rank processes (the
-        # result stays bit-identical to the serial run of the oracle
-        # engine -- same spans, same fixed-tree reductions)
+        # result stays bit-identical to the oracle engine at any rank
+        # count -- the mesh's spans, fixed dot chunks and tree)
         ranks = int(os.environ.get("REPRO_PROCOMM_RANKS", "1") or 1)
         stack = contextlib.ExitStack()
         if ranks >= 2:

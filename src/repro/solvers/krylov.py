@@ -86,8 +86,12 @@ def use_dot(dot: Callable) -> _DotOverride:
 
     Overrides nest (innermost wins) and only cover call sites that do not
     pass an explicit ``dot=``.  The callable must be deterministic for
-    the solve to stay reproducible; the distributed engines' fixed-tree
-    reduction (:func:`repro.parallel.comm.tree_reduce`) is.
+    the solve to stay reproducible; the distributed engines' dot is: fixed
+    chunks reduced over a fixed tree
+    (:func:`repro.parallel.comm.tree_reduce`), the same bits for any rank
+    count.  With no override armed, serial CG keeps ``a @ b``, which
+    rounds differently from the chunked tree: a CG solve under a rank
+    engine matches another rank engine bit for bit, not the serial solve.
     """
     return _DotOverride(dot)
 

@@ -5,7 +5,9 @@ multigrid.
 The executor runs threads.  Tests parametrized over ``backend`` repeat
 their bit-identity checks with ``"process"``: the rank engine over the
 forked processes of :mod:`repro.parallel.procomm`, the package's one
-process runtime.
+process runtime.  Every serial reference is a separately built operator
+(``workers=1``, no engine): the element spans are fixed by the mesh, so
+serial is the reference for every worker count.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ from repro.parallel import (
     partition_elements,
     partition_range,
     resolve_workers,
+    span_window,
 )
+from repro.parallel.executor import reduce_windows
 from repro.parallel.halo import halo_exchange_plan
 from repro.parallel.decomposition import BlockDecomposition
 from tests.conftest import parallel_engine
@@ -40,6 +44,13 @@ def clean_obs():
     yield
     obs.disable()
     obs.reset()
+
+
+def serial_operator(kind, mesh, eta):
+    """A separately built serial operator: no engine in the loop."""
+    op = make_operator(kind, mesh, eta, quad=QUAD, workers=1)
+    assert op.executor is None
+    return op
 
 
 def small_setup(shape=(3, 3, 4), seed=7):
@@ -59,22 +70,38 @@ class TestPartitioning:
                 for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
                     assert e0 == s1
 
-    def test_partition_elements_matches_block_decomposition(self):
-        mesh = StructuredMesh((3, 4, 8), order=2)
-        spans = partition_elements(mesh, 4)
-        decomp = BlockDecomposition(mesh, (1, 1, 4))
-        layer = mesh.shape[0] * mesh.shape[1]
-        for k, (s, e) in enumerate(spans):
-            assert s == layer * decomp.bz[k]
-            assert e == layer * decomp.bz[k + 1]
-        assert spans[0][0] == 0 and spans[-1][1] == mesh.nel
+    def test_element_spans_depend_on_the_mesh_only(self):
+        import inspect
 
-    def test_partition_elements_more_parts_than_layers(self):
-        mesh = StructuredMesh((4, 4, 2), order=2)
-        spans = partition_elements(mesh, 5)
-        assert spans[0][0] == 0 and spans[-1][1] == mesh.nel
-        for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
-            assert e0 == s1
+        assert list(inspect.signature(partition_elements).parameters) == [
+            "mesh"]
+        mesh, eta, _ = small_setup(shape=(3, 4, 5))
+        layer = 3 * 4
+        spans = partition_elements(mesh)
+        assert spans == [(layer * k, layer * (k + 1)) for k in range(5)]
+        # every engine, whatever its worker count, runs the same spans
+        for workers in (1, 2, 3, 7):
+            op = make_operator("tensor", mesh, eta, quad=QUAD,
+                               workers=workers)
+            assert op._spans == spans
+            if op.executor is not None:
+                op.executor.shutdown()
+        # each span's window is exactly the dofs its layer touches
+        for s, e in spans:
+            conn = mesh.connectivity[s:e]
+            assert span_window(mesh, s, e) == (3 * conn.min(),
+                                               3 * conn.max() + 3)
+
+
+    def test_reduce_windows_adds_in_span_order(self, rng):
+        # overlapping, repeated, disjoint and gapped windows: the reduce
+        # equals adding every partial into a zeroed output in span order
+        windows = [(0, 5), (3, 8), (3, 8), (10, 12), (11, 14)]
+        partials = [rng.standard_normal(hi - lo) for lo, hi in windows]
+        want = np.zeros(14)
+        for p, (lo, hi) in zip(partials, windows):
+            want[lo:hi] += p
+        assert np.array_equal(reduce_windows(partials, windows), want)
 
 
 class TestResolution:
@@ -111,23 +138,24 @@ class TestResolution:
         mesh, eta, u = small_setup()
         op = make_operator("tensor", mesh, eta, quad=QUAD)
         assert op.executor is not None and op.executor.workers == 2
-        assert np.array_equal(op.apply(u), op.apply_serial(u))
+        ref = serial_operator("tensor", mesh, eta)
+        assert np.array_equal(op.apply(u), ref.apply(u))
         op.executor.shutdown()
 
 
 class TestBitIdenticalOperators:
-    """ISSUE acceptance: parallel == serial to machine precision, i.e.
-    ``rtol=0`` -- the element partials are dot-reduction-free and reduced
-    in task order, so equality is exact, not approximate."""
+    """Parallel == serial with ``rtol=0``: the element partials are
+    dot-reduction-free and reduced in the mesh's span order, so equality
+    is exact, not approximate."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_apply_matches_serial_exactly(self, kind, backend):
         mesh, eta, u = small_setup()
+        y_ser = serial_operator(kind, mesh, eta).apply(u)
         with parallel_engine(backend, 3) as ex:
             op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
             y_par = op.apply(u)
-            y_ser = op.apply_serial(u)
         assert np.array_equal(y_par, y_ser)  # rtol=0: bitwise
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -149,13 +177,13 @@ class TestBitIdenticalOperators:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_diagonal_close_to_serial(self, backend):
-        # the diagonal scatter-adds span partials, so parallel-vs-plain
-        # differs only by summation association (<= a few ulp)
+        # the diagonal scatter-adds the span windows in span order on
+        # every engine, so it is not just close: it is bitwise equal
         mesh, eta, _ = small_setup()
         d_ser = assembly.viscous_diagonal(mesh, eta, QUAD)
         with parallel_engine(backend, 3) as ex:
             d_par = assembly.viscous_diagonal(mesh, eta, QUAD, executor=ex)
-        assert np.allclose(d_ser, d_par, rtol=1e-14, atol=0)
+        assert np.array_equal(d_ser, d_par)
 
     def test_csr_matvec_bit_identical(self, rng):
         import scipy.sparse as sp
@@ -179,9 +207,9 @@ class TestStateVersioning:
 
     Before that contract an in-place viscosity re-linearization silently
     applied a stale operator: the coefficient-caching kinds kept the old
-    viscosity in their cached tensor.  Every reference below is built
-    with the same worker count, so its span-partial reduction order
-    matches bitwise."""
+    viscosity in their cached tensor.  Every reference below is a freshly
+    built serial operator on the current state, so a stale cache fails
+    the bitwise comparison."""
 
     @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "asmb"])
     def test_mesh_deform_rebuilds_coefficients(self, kind, workers):
@@ -190,15 +218,13 @@ class TestStateVersioning:
         op.apply(u)  # cache coefficients on the original geometry
         if kind == "asmb":
             # the assembled matrix is geometry-frozen; just re-apply
-            assert np.array_equal(op.apply(u), op.apply_serial(u))
+            want = serial_operator(kind, mesh, eta).apply(u)
+            assert np.array_equal(op.apply(u), want)
         else:
             _deform(mesh)
             y = op.apply(u)
-            assert np.array_equal(y, op.apply_serial(u))
-            fresh = make_operator(kind, mesh, eta, quad=QUAD, workers=workers)
-            assert np.array_equal(y, fresh.apply_serial(u))
-            if fresh.executor is not None:
-                fresh.executor.shutdown()
+            fresh = serial_operator(kind, mesh, eta)
+            assert np.array_equal(y, fresh.apply(u))
         if op.executor is not None:
             op.executor.shutdown()
 
@@ -209,14 +235,11 @@ class TestStateVersioning:
         op.apply(u)  # cache coefficients for the original viscosity
         op.eta_q *= 1.7  # in-place re-linearization: no new array object
         y = op.apply(u)
-        assert np.array_equal(y, op.apply_serial(u))  # rtol=0: bitwise
-        # and it must reflect the NEW viscosity, not the cached one
-        ref_op = make_operator(kind, mesh, eta * 1.7, quad=QUAD,
-                               workers=workers)
-        assert np.array_equal(y, ref_op.apply_serial(u))
-        for o in (op, ref_op):
-            if o.executor is not None:
-                o.executor.shutdown()
+        # it must reflect the NEW viscosity, not the cached one (rtol=0)
+        ref_op = serial_operator(kind, mesh, eta * 1.7)
+        assert np.array_equal(y, ref_op.apply(u))
+        if op.executor is not None:
+            op.executor.shutdown()
 
     def test_set_viscosity_rebuilds_coefficients(self, workers):
         mesh, eta, u = small_setup()
@@ -224,13 +247,10 @@ class TestStateVersioning:
         op.apply(u)
         op.set_viscosity(eta * 0.25)
         y = op.apply(u)
-        assert np.array_equal(y, op.apply_serial(u))
-        ref_op = make_operator("tensor_c", mesh, eta * 0.25, quad=QUAD,
-                               workers=workers)
-        assert np.array_equal(y, ref_op.apply_serial(u))
-        for o in (op, ref_op):
-            if o.executor is not None:
-                o.executor.shutdown()
+        ref_op = serial_operator("tensor_c", mesh, eta * 0.25)
+        assert np.array_equal(y, ref_op.apply(u))
+        if op.executor is not None:
+            op.executor.shutdown()
 
 
 class _RaisingKernel:
@@ -247,23 +267,19 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="bad coefficient block"):
             ex.dispatch(
                 _RaisingKernel(), "partial", [(0, 2), (2, 4)], np.zeros(4),
-                out_len=4,
+                [(0, 4), (0, 4)],
             )
         ex.shutdown()
 
     def test_dispatch_argument_validation(self):
         ex = ParallelExecutor(workers=2)
-        with pytest.raises(ValueError, match="out_len"):
-            ex.dispatch(_RaisingKernel(), "partial", [(0, 1)], np.zeros(2))
-        with pytest.raises(ValueError, match="sizes"):
+        with pytest.raises(ValueError, match="windows"):
+            ex.dispatch(_RaisingKernel(), "partial", [(0, 1)], np.zeros(2),
+                        [])
+        with pytest.raises(ValueError, match="windows"):
             ex.dispatch(
                 _RaisingKernel(), "partial", [(0, 1), (1, 2)], np.zeros(2),
-                mode="concat",
-            )
-        with pytest.raises(ValueError, match="mode"):
-            ex.dispatch(
-                _RaisingKernel(), "partial", [(0, 1)], np.zeros(2),
-                out_len=2, mode="gather",
+                [(0, 1)],
             )
         ex.shutdown()
 
@@ -277,10 +293,12 @@ class TestStatsAndObservability:
             for _ in range(3):
                 op.apply(u)
         st = ex.stats
+        window_bytes = 8 * sum(hi - lo for lo, hi in op._windows)
         assert st.dispatches == 3
-        assert st.tasks == 3 * len(op._spans)
+        # one task per worker, each holding a contiguous group of spans
+        assert st.tasks == 3 * min(3, len(op._spans))
         assert st.bytes_in == 3 * u.nbytes
-        assert st.bytes_out == 3 * len(op._spans) * 8 * op.ndof
+        assert st.bytes_out == 3 * window_bytes
         assert st.worker_busy_seconds > 0.0
         assert st.queue_wait_seconds >= 0.0
         assert st.reduce_seconds >= 0.0
@@ -308,8 +326,9 @@ class TestStatsAndObservability:
         op.apply(u)
         after = halo_exchange_plan(decomp, executor=op.executor)
         assert after.measured
-        assert after.bytes_total == u.nbytes + 2 * 8 * op.ndof
-        assert after.messages == 3  # one broadcast in, one partial per task
+        window_bytes = 8 * sum(hi - lo for lo, hi in op._windows)
+        assert after.bytes_total == u.nbytes + window_bytes
+        assert after.messages == 3  # one broadcast in, one reply per task
         # tuple compatibility with the historic return value
         msgs, total, per_rank = after
         assert (msgs, total) == (after.messages, after.bytes_total)
@@ -344,9 +363,8 @@ class TestMultigridWiring:
         assert stats is not None
         assert stats["executors"] == 1 and stats["workers"] == 2
         assert stats["dispatches"] > 0
-        # same cycle, same operators: agreement to rounding (the Chebyshev
-        # diagonal is assembled with a different chunking than the serial run)
-        assert np.allclose(x_s, x_p, rtol=1e-12, atol=1e-14)
+        # same cycle, same operators, same span order: bitwise equal
+        assert np.array_equal(x_s, x_p)
         for lvl in mg_p.levels:
             if lvl.executor is not None:
                 lvl.executor.shutdown()

@@ -5,7 +5,9 @@ The contract under test: every collective is deadline-bounded (typed
 (``RankFailure``), recovery resumes from the last cohort checkpoint, and
 the rank-decomposed solve is **bit-identical** to the single-process
 :class:`~repro.parallel.comm.VirtualComm` oracle -- clean and across an
-injected mid-solve rank kill.
+injected mid-solve rank kill -- and, the element spans and dot chunks
+being fixed by the problem, to the oracle at any rank count and to the
+same run with no engine at all.
 """
 
 import contextlib
@@ -218,12 +220,27 @@ class TestRankEngines:
         with procomm(2) as comm:
             engine = ProcommEngine(comm)
             assert engine.dot(x, y) == expected
-        # both equal the tree over the shared span kernel
-        from repro.parallel.executor import partition_range
+        # both equal the tree over the shared chunk kernel
+        from repro.parallel.distributed import DOT_CHUNK
 
-        parts = [span_dot(x, y, s, e) for s, e in partition_range(1001, 2)]
+        parts = [span_dot(x, y, s, min(s + DOT_CHUNK, x.size))
+                 for s in range(0, x.size, DOT_CHUNK)]
         assert expected == tree_reduce(parts, "sum")
         oracle.shutdown()
+
+    def test_dot_is_rank_count_invariant(self):
+        # fixed-size chunks, not one span per rank: the reduction tree
+        # depends on the vector length only (5 chunks, uneven over 2 and 4)
+        from repro.parallel.distributed import DOT_CHUNK
+
+        rng = np.random.default_rng(13)
+        n = 4 * DOT_CHUNK + 17
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        got = {s: VirtualRankEngine(size=s).dot(x, y) for s in (1, 2, 4)}
+        assert got[1] == got[2] == got[4]
+        with procomm(2) as comm:
+            assert ProcommEngine(comm).dot(x, y) == got[1]
 
     def test_dot_stats_parity(self):
         rng = np.random.default_rng(12)
@@ -280,7 +297,7 @@ class TestRankEngines:
             with pytest.raises(CommError,
                                match="ValueError: bad coefficient block"):
                 engine.dispatch(Raising(), "partial", [(0, 2), (2, 4)],
-                                np.zeros(4), out_len=4)
+                                np.zeros(4), [(0, 4), (0, 4)])
 
     def test_cg_reductions_route_through_engine(self):
         # use_dot must steer every CG inner product through the fixed
@@ -442,11 +459,22 @@ class TestDistributedSolve:
         assert out["events"][0]["step"] == 1
         assert out["digest"] == oracle["digest"]
 
-    def test_oracle_digest_is_rank_count_sensitive(self, oracle):
-        # documents WHY digests are compared at equal rank counts: the
-        # fixed reduction tree depends on the partition
+    def test_oracle_digest_is_rank_count_invariant(self, oracle):
+        # the element spans and dot chunks are fixed by the problem, so
+        # the rank count never enters the reduction order: 3 ranks, and
+        # the same sinker with no engine at all, give the 2-rank digest
+        from repro.parallel.distributed import (
+            _default_sim_config, _default_sinker,
+        )
+        from repro.serve.store import state_digest
+        from repro.sim.sinker import make_sinker
+
         other = run_sinker_distributed(ranks=3, nsteps=2, oracle=True)
-        assert other["digest"] != oracle["digest"]
+        assert other["digest"] == oracle["digest"]
+        sim = make_sinker(_default_sinker(), _default_sim_config())
+        for _ in range(2):
+            sim.step(0.05)
+        assert state_digest(sim) == oracle["digest"]
 
 
 # --------------------------------------------------------------------- #

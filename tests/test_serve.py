@@ -319,6 +319,21 @@ class TestWorkerGrants:
         rec = sched.submit(sinker_spec("a", seed=1))
         assert sched._grant_workers(rec) == 5
 
+    def test_grant_does_not_change_the_result(self, tmp_path):
+        # the grant depends on load, the answer must not: the same spec
+        # granted 1 and 2 workers ends on the same state digest, so a
+        # cache hit or a resume is bit-exact whatever grant it came from
+        spec = sinker_spec("granted", seed=21, nsteps=2, workers=2)
+        digests = {}
+        for total in (1, 2):
+            report = run_battery([spec], battery_config(
+                tmp_path / f"store-{total}", total_workers=total))
+            rec = report.record("granted")
+            assert rec.state is JobState.DONE
+            assert rec.granted_workers == total
+            digests[total] = rec.result["digest"]
+        assert digests[1] == digests[2]
+
 
 class TestEligibility:
     def test_priority_then_fair_share_then_submit_order(self):
